@@ -29,6 +29,11 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
+
+// The one free() behind every replaced operator delete. Out of line so gcc
+// cannot inline it into a caller of the replaced operator new and pair the
+// two as mismatched (-Wmismatched-new-delete).
+[[gnu::noinline]] void Release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -41,10 +46,10 @@ void* operator new[](std::size_t n) {
   if (void* p = std::malloc(n != 0 ? n : 1)) return p;
   throw std::bad_alloc{};
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { Release(p); }
+void operator delete[](void* p) noexcept { Release(p); }
+void operator delete(void* p, std::size_t) noexcept { Release(p); }
+void operator delete[](void* p, std::size_t) noexcept { Release(p); }
 
 namespace legion::bench {
 namespace {

@@ -46,7 +46,8 @@ inline constexpr int kEndpointMap = 16;
 // the endpoint map (unknown dst may be a child), and taken by the reaper
 // with nothing held (bounce delivery reacquires the map afterwards).
 inline constexpr int kProcChildren = 18;
-// rt: per-endpoint inbox/cv state, then tcp per-endpoint connection set.
+// rt: per-endpoint inbox/cv state, then ProcessRuntime's per-endpoint
+// accepted-connection set.
 inline constexpr int kEndpoint = 20;
 // rt: EpollRuntime scheduler run queues (injector + per-worker deques).
 // Below kEndpoint so an endpoint can be scheduled while its mailbox lock
@@ -56,9 +57,9 @@ inline constexpr int kEndpointConns = 24;
 // rt: EpollRuntime reactor control queue (socket registrations handed to
 // the reactor thread alongside an eventfd kick).
 inline constexpr int kReactorControl = 26;
-// rt: tcp per-destination connection pool (taken with no endpoint lock).
+// rt: ConnPool per-destination idle sockets (taken with no endpoint lock).
 inline constexpr int kTcpPool = 28;
-// rt: ThreadRuntime joined-thread graveyard.
+// rt: ProcessRuntime's graveyard of threads of self-closed endpoints.
 inline constexpr int kGraveyard = 32;
 // rt/core: fault-injection rng draws (leaf under the runtime's send path).
 inline constexpr int kRng = 36;
@@ -76,9 +77,6 @@ inline constexpr int kFutureState = 64;
 // obs: metrics registry, trace ring (leaf-most shared services).
 inline constexpr int kMetricsRegistry = 90;
 inline constexpr int kTraceRing = 94;
-// base: the log-line serialization mutex. Any thread may log while holding
-// anything, so this is the maximum rank; the log sink acquires nothing.
-inline constexpr int kLog = 100;
 }  // namespace lock_rank
 
 #ifdef LEGION_LOCK_RANK_CHECKS

@@ -17,8 +17,8 @@ ConnPool::Dialer ConnPool::LoopbackDialer() {
   return [](std::uint64_t key) -> Result<int> {
     const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) {
-      // Per-message sockets made fd exhaustion easy to hit; it is a local
-      // resource failure, not evidence the binding went stale.
+      // fd exhaustion is a local resource failure, not evidence the binding
+      // went stale.
       if (errno == EMFILE || errno == ENFILE) {
         return UnavailableError("socket(): fd exhausted");
       }
@@ -31,7 +31,7 @@ ConnPool::Dialer ConnPool::LoopbackDialer() {
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(static_cast<std::uint16_t>(key));
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    if (ConnectAll(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
       const int err = errno;
       ::close(fd);
       if (err == ECONNREFUSED) {
@@ -173,15 +173,6 @@ bool ConnPool::write_frame(int fd, const Envelope& env) {
 
 Status ConnPool::send(std::uint64_t key, const Envelope& env) {
   Connection conn;
-  if (!options_.pooled) {
-    // Ablation baseline: connect, one frame, close.
-    Status st = dial(key, conn);
-    if (!st.ok()) return st;
-    const bool ok = write_frame(conn.fd, env);
-    close_conn(conn);
-    if (!ok) return UnavailableError("short write on socket send");
-    return OkStatus();
-  }
   Status st = acquire(key, conn);
   if (!st.ok()) return st;
   bool ok = write_frame(conn.fd, env);

@@ -8,13 +8,12 @@
 // pool touch. Sockets whose peer vanished reconnect exactly once, and a
 // refused reconnect surfaces as kStaleBinding so the Section 4.1.4 repair
 // loop fires — while fd exhaustion (EMFILE/ENFILE) is kUnavailable, never
-// binding invalidation. Shared verbatim by TcpRuntime, EpollRuntime and
-// ProcessRuntime so the transports cannot drift apart in failure
-// classification.
+// binding invalidation. Shared verbatim by EpollRuntime and ProcessRuntime
+// so the transports cannot drift apart in failure classification.
 //
 // How a destination becomes a socket is the transport's business: the pool
 // keys connections by an opaque 64-bit id and dials through an injected
-// `Dialer`. The TCP runtimes key by listener port and dial loopback; the
+// `Dialer`. EpollRuntime keys by host listener port and dials loopback; the
 // process runtime keys by endpoint id and dials the endpoint's Unix-domain
 // socket path.
 #pragma once
@@ -37,11 +36,9 @@
 namespace legion::rt {
 
 struct TcpOptions {
-  // false = one fresh connect per message (the pre-pool transport), kept
-  // measurable as the ablation baseline.
-  bool pooled = true;
   // Idle sockets cached per destination; a release beyond this closes
-  // the socket instead, bounding fd usage per peer.
+  // the socket instead, bounding fd usage per peer. 0 = dial, write one
+  // frame and close on every send.
   std::size_t max_idle_per_peer = 4;
   // Idle sockets unused for longer than this are reaped, stalest first,
   // whenever the pool is touched.
@@ -60,7 +57,8 @@ class ConnPool {
   // exhaustion kUnavailable).
   using Dialer = std::function<Result<int>(std::uint64_t key)>;
 
-  // The classic TCP transport dialer: key = loopback port.
+  // TCP dialer: key = loopback port. ECONNREFUSED — nothing listens there
+  // anymore — is the physical stale binding.
   static Dialer LoopbackDialer();
   // UDS dialer for the process transport: key = endpoint id, path =
   // `<dir>/ep-<key>.sock`. ENOENT/ECONNREFUSED — the socket file is gone or
@@ -71,7 +69,7 @@ class ConnPool {
                                     std::uint64_t key);
 
   // `metric_prefix` namespaces the pool gauges ("rt.tcp" for the TCP
-  // transports, "rt.proc.pool" for the process transport).
+  // transport, "rt.proc.pool" for the process transport).
   ConnPool(const TcpOptions& options, obs::Registry& registry, Dialer dialer,
            const std::string& metric_prefix = "rt.tcp");
   ~ConnPool();
@@ -80,8 +78,7 @@ class ConnPool {
   ConnPool& operator=(const ConnPool&) = delete;
 
   // Writes `env` as one frame to the destination named by `key`, honoring
-  // the pooled / per-message mode and the reconnect-once contract described
-  // above.
+  // the reconnect-once contract described above.
   Status send(std::uint64_t key, const Envelope& env);
 
   // Closes every cached idle socket (runtime teardown).

@@ -19,7 +19,8 @@ namespace legion::rt {
 
 namespace {
 
-// See ThreadRuntime's kForeignPredicateSlice.
+// Upper bound on one wait() sleep for predicates another thread may satisfy
+// without waking this endpoint; deliveries and notify() wake it at once.
 constexpr auto kForeignPredicateSlice = std::chrono::milliseconds(50);
 
 // Messages one scheduled mailbox may drain before yielding the worker —
@@ -75,9 +76,6 @@ class EpollRuntime::BlockedScope {
 };
 
 EpollRuntime::EpollRuntime() : EpollRuntime(EpollOptions{}) {}
-
-EpollRuntime::EpollRuntime(TcpOptions tcp)
-    : EpollRuntime(EpollOptions{tcp, 0, Rng::kDefaultSeed}) {}
 
 EpollRuntime::EpollRuntime(EpollOptions options)
     : options_(options),
@@ -212,10 +210,9 @@ void EpollRuntime::close_endpoint(EndpointId id) {
   }
   ep->cv.notify_all();
   if (self_running) return;  // self-close from its own handler: no wait
-  // Mirror the thread runtimes' join-on-close: when close_endpoint returns,
-  // no handler for this endpoint is running and none will start. A worker
-  // drains any queued messages first (same drain-then-exit semantics as
-  // ThreadRuntime::service_loop).
+  // Join-on-close: when close_endpoint returns, no handler for this
+  // endpoint is running and none will start. A worker drains any queued
+  // messages first (drain-then-exit).
   BlockedScope blocked(this);
   base::MutexLock lock(ep->mutex);
   while (ep->mstate != MailboxState::kIdle) ep->cv.wait(ep->mutex);
@@ -253,9 +250,8 @@ Status EpollRuntime::post(Envelope env) {
   const net::LatencyClass cls = topology_.classify(src->host, dst->host);
   if (faults_.any_faults()) {
     // Fault checks need the shared RNG; skip the lock entirely on the
-    // (common) fault-free configuration. Consulting the plan here — unlike
-    // TcpRuntime — lets recovery/partition experiments run over real
-    // sockets.
+    // (common) fault-free configuration. Consulting the plan here lets
+    // recovery/partition experiments run over real sockets.
     base::MutexLock lock(rng_mutex_);
     if (faults_.should_drop(src->host, dst->host, cls, rng_)) {
       transport_.dropped.inc();
@@ -277,8 +273,7 @@ Status EpollRuntime::post(Envelope env) {
 }
 
 // Reactor -> mailbox handoff: stamp, count, and schedule if the mailbox was
-// idle. Frames racing an endpoint close are dropped, exactly as a dead
-// TcpRuntime reader would lose them.
+// idle. Frames racing an endpoint close are dropped.
 void EpollRuntime::enqueue(Envelope env) {
   EndpointPtr ep = find(env.dst);
   if (!ep || !ep->alive.load()) return;
@@ -644,8 +639,8 @@ void EpollRuntime::reactor_loop() {
           }
         }
       } else if (listeners.contains(fd)) {
-        // Accept everything queued. The error discipline mirrors the fixed
-        // TcpRuntime acceptor: transient failures must never deafen a host.
+        // Accept everything queued. Transient failures must never deafen a
+        // host (ProcessRuntime's acceptor follows the same discipline).
         for (;;) {
           const int conn =
               ::accept4(fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -697,7 +692,7 @@ void EpollRuntime::reactor_loop() {
 }
 
 // ---------------------------------------------------------------------------
-// Introspection (same shape as the other real-clock runtimes).
+// Introspection (same shape as ProcessRuntime's).
 
 RuntimeStats EpollRuntime::stats() const { return transport_.view(); }
 

@@ -1,21 +1,22 @@
 // M:N event-driven runtime: one epoll reactor, a fixed work-stealing worker
 // pool, and per-endpoint actor mailboxes.
 //
-// ThreadRuntime spends one OS thread per serviced endpoint and TcpRuntime
-// adds one acceptor plus one reader thread per accepted connection — both
-// hit the kernel's thread ceiling orders of magnitude before the paper's
-// "millions of objects" target. Here threads are decoupled from objects:
+// A thread per serviced endpoint (plus an acceptor and a reader thread per
+// accepted connection) hits the kernel's thread ceiling orders of magnitude
+// before the paper's "millions of objects" target. Here threads are
+// decoupled from objects:
 //
 //   * A single *reactor* thread owns every socket. Per-HOST nonblocking
 //     loopback listeners (ephemeral ports are ~28k; per-endpoint listeners
 //     cannot reach 1M objects) are accepted and read with epoll; complete
-//     frames (rt/frame.hpp, identical wire format to TcpRuntime) are routed
-//     to the destination endpoint's mailbox by the env.dst header field.
+//     frames (rt/frame.hpp, the wire format ProcessRuntime also speaks) are
+//     routed to the destination endpoint's mailbox by the env.dst header
+//     field.
 //   * A fixed pool of *workers* (default: hardware_concurrency) drains
 //     mailboxes. Each endpoint is a tiny actor: kIdle until a message
 //     arrives, then kScheduled on a run queue, then kRunning on exactly one
-//     worker at a time — the same no-concurrent-handler guarantee the
-//     thread-per-object runtimes give, without the threads. Workers pop
+//     worker at a time — the same no-concurrent-handler guarantee a
+//     thread per object gives, without the threads. Workers pop
 //     their own deque LIFO, then the shared injector, then steal from
 //     victims FIFO.
 //   * A worker whose handler blocks in wait() (nested call chains:
@@ -24,11 +25,10 @@
 //     behind awaiting handlers — essential on small machines where the pool
 //     may be a single worker.
 //
-// Sending reuses the shared ConnPool (MRU reuse, idle reap, reconnect-once,
-// ECONNREFUSED -> kStaleBinding), so posting semantics — including the
-// failure classification the Section 4.1.4 repair loop depends on — are
-// byte-for-byte those of TcpRuntime. The fault plan is consulted on post
-// like ThreadRuntime's, so recovery experiments (host down, partitions,
+// Sending goes through the shared ConnPool (MRU reuse, idle reap,
+// reconnect-once, ECONNREFUSED -> kStaleBinding), which owns the failure
+// classification the Section 4.1.4 repair loop depends on. The fault plan
+// is consulted on post, so recovery experiments (host down, partitions,
 // lossy classes) run unchanged over real sockets.
 #pragma once
 
@@ -50,7 +50,7 @@
 namespace legion::rt {
 
 struct EpollOptions {
-  // Client-socket pooling and listener tuning, shared with TcpRuntime.
+  // Client-socket pooling and listener tuning.
   TcpOptions tcp;
   // Fixed worker-pool size; 0 = std::thread::hardware_concurrency(). The
   // pool may temporarily exceed this with spares spawned while workers
@@ -64,9 +64,6 @@ class EpollRuntime final : public Runtime {
  public:
   EpollRuntime();
   explicit EpollRuntime(EpollOptions options);
-  // Convenience: TcpRuntime-shaped construction for transport-parameterized
-  // tests (pool knobs, backlog) with default worker sizing.
-  explicit EpollRuntime(TcpOptions tcp);
   ~EpollRuntime() override;
 
   EndpointId create_endpoint(HostId host, std::string label,
@@ -129,7 +126,8 @@ class EpollRuntime final : public Runtime {
     std::vector<Envelope> inbox GUARDED_BY(mutex);
     std::size_t inbox_head GUARDED_BY(mutex) = 0;
     bool stopping GUARDED_BY(mutex) = false;
-    // See ThreadRuntime::Endpoint::wakeups.
+    // Bumped by every wake source (enqueue, notify(), close) so wait()
+    // sleeps through exactly the generations it has already seen.
     std::uint64_t wakeups GUARDED_BY(mutex) = 0;
     EndpointStats stats GUARDED_BY(mutex);
     MailboxState mstate GUARDED_BY(mutex) = MailboxState::kIdle;
@@ -214,7 +212,7 @@ class EpollRuntime final : public Runtime {
   base::Mutex rng_mutex_{base::lock_rank::kRng};
   Rng rng_ GUARDED_BY(rng_mutex_);
 
-  // Client-side connection pool, shared implementation with TcpRuntime.
+  // Client-side connection pool, shared implementation with ProcessRuntime.
   ConnPool pool_{options_.tcp, metrics_, ConnPool::LoopbackDialer()};
 
   obs::Counter& io_retries_{metrics_.counter("rt.eintr_retries")};

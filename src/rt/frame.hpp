@@ -5,7 +5,7 @@
 // self-delimiting, so any number of them multiplex over one persistent
 // stream. (queued_at is receiver-local and deliberately NOT on the wire.)
 //
-// TcpRuntime's per-connection reader threads and EpollRuntime's reactor
+// EpollRuntime's reactor and ProcessRuntime's per-connection reader threads
 // parse the identical 49-byte header, so the two transports are wire
 // compatible by construction.
 #pragma once

@@ -402,9 +402,8 @@ void ProcessRuntime::acceptor_loop(const EndpointPtr& ep) {
   for (;;) {
     const int conn = AcceptConn(ep->listen_fd);
     if (conn < 0) {
-      // Same errno taxonomy as TcpRuntime: only a closed listener may end
-      // this loop, or the endpoint is deafened while its socket file stays
-      // routable.
+      // Only a closed listener may end this loop, or the endpoint is
+      // deafened while its socket file stays routable.
       if (!ep->alive.load()) return;
       switch (errno) {
         case EINTR:

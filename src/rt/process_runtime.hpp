@@ -14,7 +14,7 @@
 // (ConnPool::UnixSocketPath: `<dir>/ep-<id>.sock`), so parent and children
 // route to each other with zero coordination: posting to endpoint N means
 // dialing ep-N.sock, whoever owns it. Frames are the same 49-byte-header
-// format as the TCP transports (rt/frame.hpp) through the same ConnPool
+// format as EpollRuntime's (rt/frame.hpp) through the same ConnPool
 // (reuse / reconnect-once / stale-vs-unavailable classification).
 //
 // Failure surface: a dead worker's socket gives ECONNREFUSED/ENOENT =
@@ -51,7 +51,7 @@
 namespace legion::rt {
 
 struct ProcessOptions {
-  // Pool / backlog knobs, shared with the TCP transports.
+  // Pool / backlog knobs, shared with EpollRuntime.
   TcpOptions tcp;
   // Directory holding every endpoint's socket plus the per-child OPR/handles
   // files. "" in parent mode = create (and own) a mkdtemp /tmp/legion.XXXXXX;
@@ -117,7 +117,8 @@ class ProcessRuntime final : public Runtime, public ProcessControl {
   }
 
  private:
-  // Identical shape to TcpRuntime::Endpoint, minus the TCP port.
+  // Each endpoint owns a Unix-domain listener, an acceptor thread, one
+  // reader thread per accepted stream, and (kServiced) a service thread.
   struct Endpoint {
     HostId host;
     std::string label;
@@ -137,6 +138,9 @@ class ProcessRuntime final : public Runtime, public ProcessControl {
     std::thread acceptor;
     std::thread service;  // kServiced only
 
+    // Accepted streams. A reader closes its own fd on exit, marks the slot
+    // -1 and lists it in free_slots; the acceptor reuses freed slots before
+    // growing the vectors, so connection churn cannot grow them.
     base::Mutex conns_mutex{base::lock_rank::kEndpointConns};
     std::vector<int> conn_fds GUARDED_BY(conns_mutex);  // -1 = closed
     std::vector<std::thread> readers GUARDED_BY(conns_mutex);

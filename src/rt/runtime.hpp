@@ -2,20 +2,20 @@
 //
 // A Runtime owns endpoints (one per active Legion object, plus "driver"
 // endpoints for external threads) and moves envelopes between them across a
-// simulated topology. Two implementations share this interface:
+// simulated topology. Three implementations share this interface:
 //
-//   * SimRuntime    — sequential, virtual-time, deterministic. Every message
-//                     is accounted per endpoint and per latency class, which
-//                     is precisely what the paper's Section 5 scalability
-//                     claims quantify.
-//   * ThreadRuntime — one OS thread per serviced endpoint with real
-//                     mailboxes; demonstrates the model under true
-//                     concurrency.
+//   * SimRuntime     — sequential, virtual-time, deterministic. Every message
+//                      is accounted per endpoint and per latency class, which
+//                      is precisely what the paper's Section 5 scalability
+//                      claims quantify.
+//   * EpollRuntime   — real loopback sockets; one epoll reactor and a fixed
+//                      worker pool run every endpoint's mailbox (M:N).
+//   * ProcessRuntime — one OS process per object over Unix-domain sockets.
 //
 // Blocking semantics: wait() keeps servicing the waiting endpoint's incoming
 // messages (the paper allows methods to be "accepted in any order"), which
 // keeps nested call chains — object -> class -> magistrate -> host — free of
-// deadlock in both runtimes.
+// deadlock in every runtime.
 #pragma once
 
 #include <cstdint>
@@ -37,14 +37,15 @@
 namespace legion::rt {
 
 // Handler invoked for each envelope delivered to an endpoint. Runs on the
-// endpoint's service context (sim: the pumping stack; thread: the endpoint's
-// own thread). Never invoked concurrently for the same endpoint, but may be
-// invoked re-entrantly beneath a wait().
+// endpoint's service context (sim: the pumping stack; epoll: a pool worker;
+// process: the endpoint's service thread). Never invoked concurrently for
+// the same endpoint, but may be invoked re-entrantly beneath a wait().
 using MessageHandler = std::function<void(Envelope&&)>;
 
 enum class ExecutionMode : std::uint8_t {
   // The runtime services the endpoint: SimRuntime dispatches inline during
-  // event processing; ThreadRuntime dedicates a mailbox-draining thread.
+  // event processing; the real-clock runtimes drain its mailbox on a thread
+  // of their own.
   kServiced = 0,
   // Only serviced while its owning external thread sits in wait(): the mode
   // for client/driver endpoints living on the caller's own thread.
@@ -148,7 +149,7 @@ class Runtime {
   // flight and may still bounce at delivery time.
   virtual Status post(Envelope env) = 0;
 
-  // Virtual (sim) or steady-clock-derived (thread) time in microseconds.
+  // Virtual (sim) or steady-clock-derived (real-clock) time in microseconds.
   [[nodiscard]] virtual SimTime now() const = 0;
 
   // Waits until ready() returns true, servicing `self`'s incoming messages
@@ -157,7 +158,7 @@ class Runtime {
   virtual bool wait(EndpointId self, const std::function<bool()>& ready,
                     SimTime timeout_us) = 0;
 
-  // Drains all queued work (sim: run events to quiescence; thread:
+  // Drains all queued work (sim: run events to quiescence; real-clock:
   // best-effort settle).
   virtual void run_until_idle() = 0;
 

@@ -81,7 +81,7 @@ int DialUnix(const std::string& path) {
   if (!FillSunPath(path, addr)) return -1;
   const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+  if (ConnectAll(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
       0) {
     const int err = errno;
     ::close(fd);
@@ -89,6 +89,20 @@ int DialUnix(const std::string& path) {
     return -1;
   }
   return fd;
+}
+
+int ConnectAll(int fd, const sockaddr* addr, socklen_t len) {
+  if (::connect(fd, addr, len) == 0) return 0;
+  if (errno != EINTR) return -1;
+  pollfd p{fd, POLLOUT, 0};
+  while (::poll(&p, 1, -1) < 0) {
+    if (errno != EINTR) return -1;
+  }
+  int err = 0;
+  socklen_t err_len = sizeof err;
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len) != 0) return -1;
+  errno = err;
+  return err == 0 ? 0 : -1;
 }
 
 int AcceptConn(int listen_fd) {

@@ -1,11 +1,10 @@
 // Socket helpers shared by the socket-backed runtimes.
 //
-// TcpRuntime (thread-per-connection), EpollRuntime (reactor) and
-// ProcessRuntime (one child process per object, Unix-domain sockets) create
-// listeners, dial peers, and move whole frames; centralizing the syscall
-// loops keeps the EINTR/EAGAIN/partial-transfer handling — and the listener
-// socket options (SO_REUSEADDR, configurable backlog, close-on-exec) —
-// identical in all of them.
+// EpollRuntime (reactor) and ProcessRuntime (one child process per object,
+// Unix-domain sockets) create listeners, dial peers, and move whole frames;
+// centralizing the syscall loops keeps the EINTR/EAGAIN/partial-transfer
+// handling — and the listener socket options (SO_REUSEADDR, configurable
+// backlog, close-on-exec) — identical in both.
 //
 // Every socket created here is close-on-exec. ProcessRuntime fork/execs a
 // worker per object; without CLOEXEC the child would inherit the parent's
@@ -13,6 +12,7 @@
 // TIME_WAIT and leaking peer data into an address-space-disjoint object).
 #pragma once
 
+#include <sys/socket.h>
 #include <sys/uio.h>
 
 #include <cstddef>
@@ -49,6 +49,11 @@ struct ListenerSocket {
 // connected fd, or -1 with errno preserved (ENOENT/ECONNREFUSED = nothing
 // listens there — the UDS flavor of a stale binding).
 [[nodiscard]] int DialUnix(const std::string& path);
+
+// connect(2) on a blocking socket, to completion: a signal interrupting it
+// leaves the handshake running, so EINTR waits for that outcome instead of
+// failing. Returns 0, or -1 with errno set to the connect error.
+[[nodiscard]] int ConnectAll(int fd, const sockaddr* addr, socklen_t len);
 
 // accept(2) with close-on-exec set atomically (accept4). Returns the
 // accepted fd or -1 with errno preserved.

@@ -143,11 +143,11 @@ using MutexRankDeathTest = ::testing::Test;
 TEST(MutexRankDeathTest, OutOfOrderAcquireAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Mutex low(lock_rank::kRng);
-  Mutex high(lock_rank::kLog);
+  Mutex high(lock_rank::kTraceRing);
   EXPECT_DEATH(
       {
         MutexLock outer(high);
-        MutexLock inner(low);  // rank 36 under rank 100: order violation
+        MutexLock inner(low);  // rank 36 under rank 94: order violation
       },
       "lock-rank violation");
 }
@@ -166,14 +166,14 @@ TEST(MutexRankDeathTest, SameRankAcquireAborts) {
 
 TEST(MutexRankDeathTest, InOrderAcquireIsFine) {
   Mutex low(lock_rank::kRng);
-  Mutex high(lock_rank::kLog);
+  Mutex high(lock_rank::kTraceRing);
   MutexLock outer(low);
   MutexLock inner(high);
   SUCCEED();
 }
 
 TEST(MutexRankDeathTest, UnrankedSkipsTheCheck) {
-  Mutex ranked(lock_rank::kLog);
+  Mutex ranked(lock_rank::kTraceRing);
   Mutex unranked;
   MutexLock outer(ranked);
   MutexLock inner(unranked);  // unranked = leaf-local, always allowed

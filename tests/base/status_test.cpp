@@ -30,6 +30,12 @@ struct NamedCodeCase {
   std::string_view name;
 };
 
+// gtest_discover_tests names each ctest entry after the printed parameter.
+// Without PrintTo gtest dumps the struct's raw bytes, padding and the
+// string_view's pointer included, so the names changed from one build to
+// the next.
+void PrintTo(const NamedCodeCase& c, std::ostream* os) { *os << c.name; }
+
 class StatusCodeNames : public ::testing::TestWithParam<NamedCodeCase> {};
 
 TEST_P(StatusCodeNames, EveryCodeHasDistinctName) {

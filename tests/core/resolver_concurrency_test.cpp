@@ -14,7 +14,7 @@
 
 #include "core/comm.hpp"
 #include "core/wire.hpp"
-#include "rt/thread_runtime.hpp"
+#include "rt/epoll_runtime.hpp"
 
 namespace legion::core {
 namespace {
@@ -82,7 +82,7 @@ class ResolverConcurrencyTest : public ::testing::Test {
                    kSimTimeNever};
   }
 
-  rt::ThreadRuntime runtime_{29};
+  rt::EpollRuntime runtime_;
   HostId host_;
   std::unique_ptr<rt::Messenger> target_a_;
   std::unique_ptr<rt::Messenger> target_b_;

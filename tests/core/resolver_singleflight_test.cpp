@@ -2,9 +2,9 @@
 // resolve() misses for one LOID share a single Binding-Agent consult
 // (singleflight), and a NotFound verdict is negative-cached briefly so a
 // storm of lookups for a dead LOID does not re-consult per caller. Run
-// under TSan in CI. Typed over ThreadRuntime and EpollRuntime: the
-// singleflight discipline must hold whether the Binding Agent runs on its
-// own thread or as an actor mailbox on the M:N worker pool.
+// under TSan in CI. Typed over the runtimes whose Binding Agent runs
+// concurrently with its callers: on EpollRuntime it is an actor mailbox on
+// the M:N worker pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,27 +16,9 @@
 #include "core/comm.hpp"
 #include "core/wire.hpp"
 #include "rt/epoll_runtime.hpp"
-#include "rt/thread_runtime.hpp"
 
 namespace legion::core {
 namespace {
-
-constexpr std::uint64_t kSeed = 31;
-
-template <typename RuntimeT>
-std::unique_ptr<RuntimeT> MakeRuntime();
-
-template <>
-std::unique_ptr<rt::ThreadRuntime> MakeRuntime() {
-  return std::make_unique<rt::ThreadRuntime>(kSeed);
-}
-
-template <>
-std::unique_ptr<rt::EpollRuntime> MakeRuntime() {
-  rt::EpollOptions options;
-  options.seed = kSeed;
-  return std::make_unique<rt::EpollRuntime>(options);
-}
 
 template <typename RuntimeT>
 class ResolverSingleflightTest : public ::testing::Test {
@@ -93,7 +75,7 @@ class ResolverSingleflightTest : public ::testing::Test {
     runtime_.reset();
   }
 
-  std::unique_ptr<RuntimeT> runtime_ = MakeRuntime<RuntimeT>();
+  std::unique_ptr<RuntimeT> runtime_ = std::make_unique<RuntimeT>();
   HostId host_;
   std::unique_ptr<rt::Messenger> target_;
   std::unique_ptr<rt::Messenger> ba_;
@@ -102,8 +84,7 @@ class ResolverSingleflightTest : public ::testing::Test {
   std::atomic<std::uint64_t> consults_served_{0};
 };
 
-using SingleflightRuntimes =
-    ::testing::Types<rt::ThreadRuntime, rt::EpollRuntime>;
+using SingleflightRuntimes = ::testing::Types<rt::EpollRuntime>;
 TYPED_TEST_SUITE(ResolverSingleflightTest, SingleflightRuntimes);
 
 TYPED_TEST(ResolverSingleflightTest, ColdMissStampedeConsultsOnce) {

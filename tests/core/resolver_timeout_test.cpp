@@ -9,7 +9,7 @@
 #include <chrono>
 
 #include "core/comm.hpp"
-#include "rt/thread_runtime.hpp"
+#include "rt/epoll_runtime.hpp"
 
 namespace legion::core {
 namespace {
@@ -41,7 +41,7 @@ class ResolverTimeoutTest : public ::testing::Test {
                                     rt::ExecutionMode::kDriver);
   }
 
-  rt::ThreadRuntime runtime_{23};
+  rt::EpollRuntime runtime_;
   HostId host_;
   std::unique_ptr<rt::Messenger> client_;
   std::unique_ptr<Resolver> resolver_;

@@ -1,12 +1,12 @@
 // The full object model under real concurrency: bootstrap and workloads on
-// ThreadRuntime (one OS thread per active object).
+// EpollRuntime (every active object an actor mailbox on the worker pool).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
 #include "core/test_support.hpp"
-#include "rt/thread_runtime.hpp"
+#include "rt/epoll_runtime.hpp"
 
 namespace legion::core {
 namespace {
@@ -18,7 +18,7 @@ using testing::ReadI64;
 class ThreadSystemTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    runtime_ = std::make_unique<rt::ThreadRuntime>(7);
+    runtime_ = std::make_unique<rt::EpollRuntime>();
     j1_ = runtime_->topology().add_jurisdiction("j1");
     j2_ = runtime_->topology().add_jurisdiction("j2");
     h1_ = runtime_->topology().add_host("h1", {j1_}, 16.0);
@@ -48,7 +48,7 @@ class ThreadSystemTest : public ::testing::Test {
     runtime_.reset();
   }
 
-  std::unique_ptr<rt::ThreadRuntime> runtime_;
+  std::unique_ptr<rt::EpollRuntime> runtime_;
   std::unique_ptr<LegionSystem> system_;
   std::unique_ptr<Client> client_;
   JurisdictionId j1_, j2_;

@@ -118,9 +118,15 @@ TEST(IdlTest, PersistentRequiresMentat) {
 }
 
 struct ErrorCase {
+  std::string label;  // names the case; see PrintTo
   std::string source;
   std::string fragment;  // expected in the error message
 };
+
+// gtest_discover_tests names each ctest entry after the printed parameter.
+// Without PrintTo gtest dumps the struct's raw bytes, heap pointers
+// included, so the names changed from one build to the next.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.label; }
 
 class IdlErrorSweep : public ::testing::TestWithParam<ErrorCase> {};
 
@@ -136,15 +142,19 @@ TEST_P(IdlErrorSweep, ReportsPositionAndReason) {
 INSTANTIATE_TEST_SUITE_P(
     Errors, IdlErrorSweep,
     ::testing::Values(
-        ErrorCase{"iface T { };", "expected 'interface'"},
-        ErrorCase{"interface { };", "interface name"},
-        ErrorCase{"interface T { int m(; };", "parameter type"},
-        ErrorCase{"interface T { int m() };", "';'"},
-        ErrorCase{"interface T { int m(int x) ", "';'"},
-        ErrorCase{"interface T : { };", "base name"},
-        ErrorCase{"interface T { void m(); void m(); };", "duplicate method"},
-        ErrorCase{"interface T { @ };", "unexpected character"},
-        ErrorCase{"interface T { /* oops };", "unterminated block comment"}));
+        ErrorCase{"MisspelledKeyword", "iface T { };", "expected 'interface'"},
+        ErrorCase{"MissingInterfaceName", "interface { };", "interface name"},
+        ErrorCase{"BadParameterList", "interface T { int m(; };",
+                  "parameter type"},
+        ErrorCase{"MissingSemicolon", "interface T { int m() };", "';'"},
+        ErrorCase{"TruncatedInput", "interface T { int m(int x) ", "';'"},
+        ErrorCase{"MissingBaseName", "interface T : { };", "base name"},
+        ErrorCase{"DuplicateMethod", "interface T { void m(); void m(); };",
+                  "duplicate method"},
+        ErrorCase{"UnexpectedCharacter", "interface T { @ };",
+                  "unexpected character"},
+        ErrorCase{"UnterminatedComment", "interface T { /* oops };",
+                  "unterminated block comment"}));
 
 TEST(IdlTest, ErrorsCarryLineNumbers) {
   auto result = ParseSingle("interface T {\n  int m()\n};");

@@ -12,7 +12,7 @@
 #include <tuple>
 
 #include "core/test_support.hpp"
-#include "rt/thread_runtime.hpp"
+#include "rt/epoll_runtime.hpp"
 
 namespace legion::core {
 namespace {
@@ -26,7 +26,7 @@ struct ModelObject {
   bool alive = true;
 };
 
-enum class Kernel { kSim = 0, kThreads = 1 };
+enum class Kernel { kSim = 0, kEpoll = 1 };
 
 class ModelFuzzTest
     : public ::testing::TestWithParam<std::tuple<Kernel, std::uint64_t>> {
@@ -37,7 +37,9 @@ class ModelFuzzTest
     if (std::get<0>(GetParam()) == Kernel::kSim) {
       runtime_ = std::make_unique<rt::SimRuntime>(Seed());
     } else {
-      runtime_ = std::make_unique<rt::ThreadRuntime>(Seed());
+      rt::EpollOptions options;
+      options.seed = Seed();
+      runtime_ = std::make_unique<rt::EpollRuntime>(options);
     }
     uva_ = runtime_->topology().add_jurisdiction("uva");
     doe_ = runtime_->topology().add_jurisdiction("doe");
@@ -166,7 +168,7 @@ TEST_P(ModelFuzzTest, RandomLifecycleSequencesAgreeWithOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, ModelFuzzTest,
-    ::testing::Combine(::testing::Values(Kernel::kSim, Kernel::kThreads),
+    ::testing::Combine(::testing::Values(Kernel::kSim, Kernel::kEpoll),
                        ::testing::Values(1ULL, 42ULL, 1995ULL, 0xC0FFEEULL,
                                          987654321ULL)));
 

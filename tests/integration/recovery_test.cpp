@@ -208,9 +208,8 @@ TEST_F(RecoveryTest, RecoveryPolicyIsTunable) {
 
 // The same recovery machinery over the M:N socket runtime: probes, verdicts
 // and reactivation ride real TCP frames and real-clock timeouts instead of
-// virtual time. EpollRuntime consults the fault plan on post (TcpRuntime
-// does not), which is what makes host-down/partition experiments expressible
-// over sockets at all.
+// virtual time. EpollRuntime consults the fault plan on post, which is what
+// makes host-down/partition experiments expressible over sockets at all.
 class EpollRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -10,6 +10,8 @@
 //      rebind a port still draining TIME_WAIT;
 //   4. conn_fds/readers slots were never compacted, so connection churn on a
 //      long-lived endpoint grew both vectors without bound.
+// Bugs 1-3 run on EpollRuntime's reactor listeners; bug 4 on ProcessRuntime,
+// the one runtime with an acceptor thread and per-connection reader slots.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -24,9 +26,10 @@
 #include <thread>
 #include <vector>
 
+#include "rt/epoll_runtime.hpp"
 #include "rt/frame.hpp"
+#include "rt/process_runtime.hpp"
 #include "rt/socket_util.hpp"
-#include "rt/tcp_runtime.hpp"
 
 namespace legion::rt {
 namespace {
@@ -52,7 +55,7 @@ int ConnectLoopback(std::uint16_t port, bool nonblocking) {
 
 class AcceptRobustnessTest : public ::testing::Test {
  protected:
-  void MakeTopology(TcpRuntime& rt) {
+  void MakeTopology(Runtime& rt) {
     auto j = rt.topology().add_jurisdiction("j");
     h1_ = rt.topology().add_host("h1", {j}, 1e9);
     h2_ = rt.topology().add_host("h2", {j}, 1e9);
@@ -62,12 +65,12 @@ class AcceptRobustnessTest : public ::testing::Test {
 };
 
 // Bug 1: a connection arriving while the process is out of descriptors makes
-// accept() fail with EMFILE. The acceptor must back off and retry — the
+// accept() fail with EMFILE. The listener must back off and retry — the
 // queued connection is accepted once descriptors return, and the frame it
 // carries is delivered. The old loop exited instead, deafening the endpoint
 // forever.
 TEST_F(AcceptRobustnessTest, AcceptorSurvivesFdExhaustion) {
-  TcpRuntime rt;
+  EpollRuntime rt;
   MakeTopology(rt);
   const EndpointId sink = rt.create_endpoint(h2_, "sink", [](Envelope&&) {},
                                              ExecutionMode::kServiced);
@@ -100,7 +103,7 @@ TEST_F(AcceptRobustnessTest, AcceptorSurvivesFdExhaustion) {
   ASSERT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
             0);
 
-  // Give the acceptor time to wake up on the pending connection and slam
+  // Give the reactor time to wake up on the pending connection and slam
   // into EMFILE at least once.
   const auto retry_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -113,7 +116,7 @@ TEST_F(AcceptRobustnessTest, AcceptorSurvivesFdExhaustion) {
   for (int fd : fillers) ::close(fd);
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
 
-  // Descriptors are back: the backed-off acceptor picks the connection up
+  // Descriptors are back: the re-armed listener picks the connection up
   // and a hand-rolled frame written on it reaches the endpoint's inbox.
   Envelope env{src, sink, DeliveryKind::kData, Buffer{}};
   std::uint8_t header[kFrameHeaderBytes];
@@ -168,11 +171,11 @@ TEST_F(AcceptRobustnessTest, ListenBacklogIsConfigurable) {
   EXPECT_EQ(deep, kBurst);
   EXPECT_LT(shallow, deep);
 
-  // And the runtimes actually carry the knob (the default is SOMAXCONN, not
+  // And the runtime actually carries the knob (the default is SOMAXCONN, not
   // the old hardcoded 64).
-  TcpOptions options;
-  options.listen_backlog = 7;
-  TcpRuntime rt(options);
+  EpollOptions options;
+  options.tcp.listen_backlog = 7;
+  EpollRuntime rt(options);
   EXPECT_EQ(rt.options().listen_backlog, 7);
   EXPECT_EQ(TcpOptions{}.listen_backlog, SOMAXCONN);
 }
@@ -205,9 +208,10 @@ TEST_F(AcceptRobustnessTest, ReuseAddrAllowsImmediateRebindThroughTimeWait) {
 // closing the pool side after every post) accumulated dead slots without
 // bound. Slots must be reclaimed and reused.
 TEST_F(AcceptRobustnessTest, ReaderSlotsAreReusedUnderConnectionChurn) {
-  TcpOptions options;
-  options.idle_reap = std::chrono::microseconds(1);  // reap after every post
-  TcpRuntime rt(options);
+  ProcessOptions options;
+  // Reap after every post.
+  options.tcp.idle_reap = std::chrono::microseconds(1);
+  ProcessRuntime rt(options);
   MakeTopology(rt);
   const EndpointId sink = rt.create_endpoint(h2_, "sink", [](Envelope&&) {},
                                              ExecutionMode::kServiced);
@@ -224,12 +228,12 @@ TEST_F(AcceptRobustnessTest, ReaderSlotsAreReusedUnderConnectionChurn) {
   }
 
   // Each round redialed (the pool reaped the idle socket every time)...
-  EXPECT_GE(rt.metrics().counter("rt.tcp.dials").value(), kRounds);
+  EXPECT_GE(rt.metrics().counter("rt.proc.pool.dials").value(), kRounds);
   // ...yet the server side cycled through a handful of reader slots, not
   // one per connection. (The bound is loose only for scheduling jitter —
   // the broken behavior is exactly kRounds slots.)
-  EXPECT_LE(rt.metrics().counter("rt.tcp.reader_slots").value(), kRounds / 2);
-  EXPECT_GE(rt.metrics().counter("rt.tcp.reader_slots").value(), 1u);
+  EXPECT_LE(rt.metrics().counter("rt.proc.reader_slots").value(), kRounds / 2);
+  EXPECT_GE(rt.metrics().counter("rt.proc.reader_slots").value(), 1u);
 }
 
 }  // namespace

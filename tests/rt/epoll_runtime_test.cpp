@@ -1,7 +1,7 @@
 // The M:N event-driven runtime: per-host shared listeners, a fixed
 // work-stealing worker pool with blocked-worker compensation, and frames
-// demultiplexed by the reactor — same wire format and posting semantics as
-// TcpRuntime, a constant number of threads regardless of endpoint count.
+// demultiplexed by the reactor — a constant number of threads regardless
+// of endpoint count.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -129,9 +129,8 @@ TEST_F(EpollRuntimeTest, ClosedEndpointIsStaleBinding) {
 }
 
 // The M:N invariant itself: ten thousand resident serviced endpoints, and
-// the runtime's thread count stays workers + reactor. (ThreadRuntime would
-// need ten thousand threads; TcpRuntime ten thousand listener fds plus a
-// thread per accepted stream.)
+// the runtime's thread count stays workers + reactor. (Thread-per-object
+// would need ten thousand threads.)
 TEST_F(EpollRuntimeTest, ThousandsOfIdleEndpointsCostNoThreads) {
   EpollOptions options;
   options.workers = 2;
@@ -164,8 +163,8 @@ TEST_F(EpollRuntimeTest, ThousandsOfIdleEndpointsCostNoThreads) {
   EXPECT_EQ(rt.runtime_threads(), 3u);  // plain delivery never blocks
 }
 
-// Unlike TcpRuntime, the fault plan is consulted on post (like
-// ThreadRuntime): recovery and partition experiments run over real sockets.
+// The fault plan is consulted on post: recovery and partition experiments
+// run over real sockets.
 TEST_F(EpollRuntimeTest, FaultPlanDropsPostsOverRealSockets) {
   EpollRuntime rt;
   MakeTopology(rt);
@@ -196,9 +195,9 @@ TEST_F(EpollRuntimeTest, FaultPlanDropsPostsOverRealSockets) {
 }
 
 TEST_F(EpollRuntimeTest, ListenBacklogOptionIsPlumbed) {
-  TcpOptions tcp;
-  tcp.listen_backlog = 8;
-  EpollRuntime rt(tcp);
+  EpollOptions options;
+  options.tcp.listen_backlog = 8;
+  EpollRuntime rt(options);
   EXPECT_EQ(rt.options().listen_backlog, 8);
 }
 

@@ -10,8 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "rt/epoll_runtime.hpp"
 #include "rt/messenger.hpp"
-#include "rt/thread_runtime.hpp"
 
 namespace legion::rt {
 namespace {
@@ -23,7 +23,7 @@ class MessengerRaceTest : public ::testing::Test {
     host_ = runtime_.topology().add_host("h", {j});
   }
 
-  ThreadRuntime runtime_{17};
+  EpollRuntime runtime_;
   HostId host_;
 };
 

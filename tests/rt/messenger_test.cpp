@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "rt/epoll_runtime.hpp"
 #include "rt/sim_runtime.hpp"
-#include "rt/thread_runtime.hpp"
 
 namespace legion::rt {
 namespace {
@@ -208,7 +208,7 @@ class MessengerThreadTest : public ::testing::Test {
     h2_ = rt_.topology().add_host("h2", {j});
   }
 
-  ThreadRuntime rt_{7};
+  EpollRuntime rt_;
   HostId h1_, h2_;
 };
 

@@ -1,11 +1,13 @@
-// Signals mid-transfer must not kill a TCP delivery (regression: the
+// Signals mid-transfer must not kill a socket delivery (regression: the
 // read/write loops treated EINTR as fatal, so any signal landing during a
 // blocking socket call dropped the message).
 //
 // An interval timer showers the process with SIGALRM (installed WITHOUT
 // SA_RESTART, so blocking syscalls genuinely return EINTR) while large
-// payloads — big enough to fill the loopback socket buffer and block the
-// writer — stream between endpoints. Every transfer must complete intact.
+// payloads — big enough to fill the socket buffer and block the writer —
+// stream between endpoints. Every transfer must complete intact. Typed over
+// both socket runtimes: EpollRuntime's reactor reads loopback TCP without
+// blocking, ProcessRuntime's reader threads block on Unix-domain sockets.
 #include <gtest/gtest.h>
 
 #include <sys/time.h>
@@ -16,8 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "rt/epoll_runtime.hpp"
 #include "rt/messenger.hpp"
-#include "rt/tcp_runtime.hpp"
+#include "rt/process_runtime.hpp"
 
 namespace legion::rt {
 namespace {
@@ -49,15 +52,21 @@ class SignalStorm {
   itimerval old_timer_ = {};
 };
 
-TEST(TcpEintrTest, SignalsMidTransferDoNotDropMessages) {
-  TcpRuntime rt;
+template <typename RuntimeT>
+class TcpEintrTest : public ::testing::Test {};
+
+using SocketRuntimes = ::testing::Types<EpollRuntime, ProcessRuntime>;
+TYPED_TEST_SUITE(TcpEintrTest, SocketRuntimes);
+
+TYPED_TEST(TcpEintrTest, SignalsMidTransferDoNotDropMessages) {
+  TypeParam rt;
   auto j = rt.topology().add_jurisdiction("j");
   const HostId h1 = rt.topology().add_host("h1", {j}, 1e9);
   const HostId h2 = rt.topology().add_host("h2", {j}, 1e9);
 
-  // 4 MiB payloads: far beyond the loopback socket buffer, so both the
-  // writer and the acceptor's reader block mid-transfer — exactly where a
-  // signal used to be fatal.
+  // 4 MiB payloads: far beyond the socket buffer, so both the writer and
+  // the receiving side block mid-transfer — exactly where a signal used to
+  // be fatal.
   std::vector<std::uint8_t> raw(4 * 1024 * 1024);
   for (std::size_t i = 0; i < raw.size(); ++i) {
     raw[i] = static_cast<std::uint8_t>(i * 131);
@@ -86,8 +95,8 @@ TEST(TcpEintrTest, SignalsMidTransferDoNotDropMessages) {
   }
 
   // The sender bumps `delivered` after the frame is already readable, so the
-  // final reply's tick can land just after call() returns — give the server's
-  // service thread a beat to finish its post() before asserting.
+  // final reply's tick can land just after call() returns — give the server
+  // a beat to finish its post() before asserting.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(2);
   while (rt.stats().delivered < 2u * kTransfers &&
