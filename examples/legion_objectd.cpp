@@ -183,8 +183,8 @@ int main(int argc, char** argv) {
 
   // Serve until a signal ends the process: SIGTERM (graceful stop — the
   // parent already captured state via kSaveState), SIGKILL (fault
-  // injection), or parent teardown. The endpoint's service thread does the
-  // work; this thread just keeps main alive.
+  // injection), or parent teardown. The runtime's reactor and its one pool
+  // worker do the work; this thread just keeps main alive.
   for (;;) {
     std::this_thread::sleep_for(std::chrono::seconds(3600));
   }

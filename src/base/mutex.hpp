@@ -40,27 +40,26 @@ inline constexpr int kListeners = 12;
 // locking its endpoint).
 inline constexpr int kWorkerPool = 14;
 // rt: the runtime's endpoint map is held (shared) while per-endpoint
-// mutexes are taken beneath it (run_until_idle, stats sweeps).
+// mutexes are taken beneath it (run_until_idle, stats sweeps), and written
+// while ProcessRuntime draws a child's endpoint id.
 inline constexpr int kEndpointMap = 16;
-// rt: ProcessRuntime's child-process table — consulted on post() beneath
-// the endpoint map (unknown dst may be a child), and taken by the reaper
-// with nothing held (bounce delivery reacquires the map afterwards).
+// rt: ProcessRuntime's child-process table — taken with nothing held by
+// post() (a child dst is tracked, then the kernel posts), by the reactor's
+// reply settling before enqueue, and by the reaper (bounce delivery
+// reacquires the map afterwards). The fault-plan rng nests beneath it.
 inline constexpr int kProcChildren = 18;
-// rt: per-endpoint inbox/cv state, then ProcessRuntime's per-endpoint
-// accepted-connection set.
+// rt: per-endpoint inbox/cv state.
 inline constexpr int kEndpoint = 20;
 // rt: EpollRuntime scheduler run queues (injector + per-worker deques).
 // Below kEndpoint so an endpoint can be scheduled while its mailbox lock
 // decides the state transition.
 inline constexpr int kScheduler = 22;
-inline constexpr int kEndpointConns = 24;
 // rt: EpollRuntime reactor control queue (socket registrations handed to
-// the reactor thread alongside an eventfd kick).
+// the reactor thread alongside an eventfd kick, and the done-ticket
+// close_listener waits on).
 inline constexpr int kReactorControl = 26;
 // rt: ConnPool per-destination idle sockets (taken with no endpoint lock).
 inline constexpr int kTcpPool = 28;
-// rt: ProcessRuntime's graveyard of threads of self-closed endpoints.
-inline constexpr int kGraveyard = 32;
 // rt/core: fault-injection rng draws (leaf under the runtime's send path).
 inline constexpr int kRng = 36;
 // net: fault-plan sets, consulted beneath the rng lock on the send path.

@@ -8,14 +8,14 @@
 // pool touch. Sockets whose peer vanished reconnect exactly once, and a
 // refused reconnect surfaces as kStaleBinding so the Section 4.1.4 repair
 // loop fires — while fd exhaustion (EMFILE/ENFILE) is kUnavailable, never
-// binding invalidation. Shared verbatim by EpollRuntime and ProcessRuntime
-// so the transports cannot drift apart in failure classification.
+// binding invalidation. The reactor kernel owns one pool, so both listener
+// kinds share the same failure classification.
 //
-// How a destination becomes a socket is the transport's business: the pool
-// keys connections by an opaque 64-bit id and dials through an injected
-// `Dialer`. EpollRuntime keys by host listener port and dials loopback; the
-// process runtime keys by endpoint id and dials the endpoint's Unix-domain
-// socket path.
+// How a destination becomes a socket is the listener kind's business: the
+// pool keys connections by an opaque 64-bit id and dials through an
+// injected `Dialer`. With loopback TCP listeners the key is the host
+// listener's port; with Unix-domain listeners (ProcessRuntime) it is the
+// endpoint id, dialled at the endpoint's socket path.
 #pragma once
 
 #include <sys/socket.h>

@@ -48,38 +48,38 @@ thread_local WorkerTls tl_worker;
 // bounded spare if the unblocked complement dropped below target. Spares
 // are ordinary workers and persist until teardown — churn-free, and the
 // steady-state thread count stays a small constant.
-class EpollRuntime::BlockedScope {
- public:
-  explicit BlockedScope(EpollRuntime* rt) {
-    if (tl_worker.runtime != rt) return;  // external thread: nothing to cover
-    rt_ = rt;
-    base::MutexLock lock(rt->pool_mutex_);
-    ++rt->blocked_workers_;
-    const std::size_t cap = rt->target_workers_ * 16 + 8;
-    if (rt->workers_.size() - rt->blocked_workers_ < rt->target_workers_ &&
-        rt->workers_.size() < cap) {
-      rt->spawn_worker();
-      rt->spares_spawned_.inc();
-    }
+EpollRuntime::BlockedScope::BlockedScope(EpollRuntime* rt) {
+  if (tl_worker.runtime != rt) return;  // external thread: nothing to cover
+  rt_ = rt;
+  base::MutexLock lock(rt->pool_mutex_);
+  ++rt->blocked_workers_;
+  const std::size_t cap = rt->target_workers_ * 16 + 8;
+  if (rt->workers_.size() - rt->blocked_workers_ < rt->target_workers_ &&
+      rt->workers_.size() < cap) {
+    rt->spawn_worker();
+    rt->spares_spawned_.inc();
   }
-  ~BlockedScope() {
-    if (!rt_) return;
-    base::MutexLock lock(rt_->pool_mutex_);
-    --rt_->blocked_workers_;
-  }
+}
 
-  BlockedScope(const BlockedScope&) = delete;
-  BlockedScope& operator=(const BlockedScope&) = delete;
-
- private:
-  EpollRuntime* rt_ = nullptr;
-};
+EpollRuntime::BlockedScope::~BlockedScope() {
+  if (!rt_) return;
+  base::MutexLock lock(rt_->pool_mutex_);
+  --rt_->blocked_workers_;
+}
 
 EpollRuntime::EpollRuntime() : EpollRuntime(EpollOptions{}) {}
 
 EpollRuntime::EpollRuntime(EpollOptions options)
-    : options_(options),
+    : EpollRuntime(options, std::string{}) {}
+
+EpollRuntime::EpollRuntime(EpollOptions options, std::string socket_dir)
+    : socket_dir_(std::move(socket_dir)),
+      options_(options),
       rng_(options.seed),
+      pool_(options_.tcp, metrics_,
+            socket_dir_.empty() ? ConnPool::LoopbackDialer()
+                                : ConnPool::UnixDialer(socket_dir_),
+            socket_dir_.empty() ? "rt.tcp" : "rt.proc.pool"),
       epoch_(std::chrono::steady_clock::now()) {
   target_workers_ =
       options_.workers != 0
@@ -97,10 +97,17 @@ EpollRuntime::EpollRuntime(EpollOptions options)
 }
 
 EpollRuntime::~EpollRuntime() {
+  shutdown();
+  if (wake_fd_ >= 0) ::close(wake_fd_);
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
+}
+
+void EpollRuntime::shutdown() {
+  if (!reactor_.joinable()) return;
   // 1. Stop the reactor first: no mailbox grows after this, so the drains
   //    below terminate. The reactor closes every conn and listener it owns.
   post_control({ControlOp::Kind::kStop, -1});
-  if (reactor_.joinable()) reactor_.join();
+  reactor_.join();
 
   // 2. Mark every endpoint stopping so blocked waiters wake promptly.
   std::vector<EndpointPtr> eps;
@@ -111,6 +118,9 @@ EpollRuntime::~EpollRuntime() {
   }
   for (auto& ep : eps) {
     ep->alive.store(false);
+    if (ep->listen_fd >= 0) {
+      ::unlink(ConnPool::UnixSocketPath(socket_dir_, ep->id.value).c_str());
+    }
     {
       base::MutexLock lock(ep->mutex);
       ep->stopping = true;
@@ -135,10 +145,7 @@ EpollRuntime::~EpollRuntime() {
   for (auto& t : threads) {
     if (t.joinable()) t.join();
   }
-
   pool_.close_all();
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
 
 void EpollRuntime::spawn_worker() {
@@ -166,7 +173,7 @@ EndpointId EpollRuntime::create_endpoint(HostId host, std::string label,
   // Resolve (or lazily bind) the host's shared listener. Creating the
   // endpoint costs no thread and no fd beyond its host's one listener —
   // that is the whole 1M-objects-per-box argument.
-  {
+  if (socket_dir_.empty()) {
     base::MutexLock lock(listeners_mutex_);
     auto it = listener_ports_.find(host.value);
     if (it != listener_ports_.end()) {
@@ -185,12 +192,26 @@ EndpointId EpollRuntime::create_endpoint(HostId host, std::string label,
   EndpointId id;
   {
     base::WriterMutexLock lock(map_mutex_);
-    id = EndpointId{next_endpoint_++};
+    id = EndpointId{next_endpoint_id()};
+    if (!socket_dir_.empty()) {
+      // Bound before the endpoint is published: a worker process tells its
+      // parent it is dialable as soon as create_endpoint returns.
+      ep->listen_fd =
+          CreateUnixListener(ConnPool::UnixSocketPath(socket_dir_, id.value),
+                             options_.tcp.listen_backlog);
+      if (ep->listen_fd < 0) return EndpointId{};
+      SetNonBlocking(ep->listen_fd);
+    }
     ep->id = id;
     endpoints_.emplace(id.value, ep);
   }
+  if (ep->listen_fd >= 0) {
+    post_control({ControlOp::Kind::kAddListener, ep->listen_fd});
+  }
   return id;
 }
+
+std::uint64_t EpollRuntime::next_endpoint_id() { return next_endpoint_++; }
 
 void EpollRuntime::close_endpoint(EndpointId id) {
   EndpointPtr ep = find(id);
@@ -200,6 +221,7 @@ void EpollRuntime::close_endpoint(EndpointId id) {
     endpoints_.erase(id.value);
   }
   ep->alive.store(false);
+  if (ep->listen_fd >= 0) close_listener(*ep);
   bool self_running = false;
   {
     base::MutexLock lock(ep->mutex);
@@ -243,23 +265,27 @@ Status EpollRuntime::post(Envelope env) {
   EndpointPtr src = find(env.src);
   if (!src) return InternalError("post from unknown endpoint");
   EndpointPtr dst = find(env.dst);
-  if (!dst || !dst->alive.load()) {
-    return StaleBindingError("destination endpoint closed");
-  }
-
-  const net::LatencyClass cls = topology_.classify(src->host, dst->host);
-  if (faults_.any_faults()) {
+  net::LatencyClass cls = net::LatencyClass::kSameHost;
+  if (dst) {
+    if (!dst->alive.load()) {
+      return StaleBindingError("destination endpoint closed");
+    }
+    cls = topology_.classify(src->host, dst->host);
     // Fault checks need the shared RNG; skip the lock entirely on the
     // (common) fault-free configuration. Consulting the plan here lets
     // recovery/partition experiments run over real sockets.
-    base::MutexLock lock(rng_mutex_);
-    if (faults_.should_drop(src->host, dst->host, cls, rng_)) {
-      transport_.dropped.inc();
+    if (faults_.any_faults() && dropped_by_faults(src->host, dst->host, cls)) {
       return OkStatus();
     }
+  } else if (socket_dir_.empty()) {
+    return StaleBindingError("destination endpoint closed");
   }
+  // An unknown Unix-domain destination is a peer process's endpoint: dial
+  // it, and let ENOENT at its socket file classify as the stale binding it
+  // is.
 
-  Status st = pool_.send(dst->host_port, env);
+  Status st = pool_.send(socket_dir_.empty() ? dst->host_port : env.dst.value,
+                         env);
   if (!st.ok()) return st;
 
   {
@@ -268,12 +294,18 @@ Status EpollRuntime::post(Envelope env) {
     src->stats.bytes_sent += env.payload.size();
   }
   transport_.delivered.inc();
-  transport_.by_class[static_cast<std::size_t>(cls)]->inc();
+  if (dst) transport_.by_class[static_cast<std::size_t>(cls)]->inc();
   return OkStatus();
 }
 
-// Reactor -> mailbox handoff: stamp, count, and schedule if the mailbox was
-// idle. Frames racing an endpoint close are dropped.
+bool EpollRuntime::dropped_by_faults(HostId src, HostId dst,
+                                     net::LatencyClass cls) {
+  base::MutexLock lock(rng_mutex_);
+  if (!faults_.should_drop(src, dst, cls, rng_)) return false;
+  transport_.dropped.inc();
+  return true;
+}
+
 void EpollRuntime::enqueue(Envelope env) {
   EndpointPtr ep = find(env.dst);
   if (!ep || !ep->alive.load()) return;
@@ -512,19 +544,37 @@ void EpollRuntime::run_until_idle() {
 // Reactor: the one thread that touches epoll, every listener, and every
 // accepted stream.
 
-void EpollRuntime::post_control(ControlOp op) {
+std::uint64_t EpollRuntime::post_control(ControlOp op) {
+  std::uint64_t ticket;
   {
     base::MutexLock lock(reactor_mutex_);
     control_ops_.push_back(op);
+    ticket = ++control_posted_;
   }
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
+  return ticket;
+}
+
+// Peers dialling a closed Unix-domain endpoint meet ENOENT, the UDS stale
+// binding. The reactor alone closes the listener (an fd closed on another
+// thread could be reused before the reactor drops it from epoll), and it
+// closes every stream accepted on it before this returns: a peer's pooled
+// socket then fails on its next write and redials into ENOENT, instead of
+// writing frames nobody reads.
+void EpollRuntime::close_listener(const Endpoint& ep) {
+  ::unlink(ConnPool::UnixSocketPath(socket_dir_, ep.id.value).c_str());
+  const std::uint64_t ticket =
+      post_control({ControlOp::Kind::kRemoveListener, ep.listen_fd});
+  base::MutexLock lock(reactor_mutex_);
+  while (control_done_ < ticket) control_cv_.wait(reactor_mutex_);
 }
 
 void EpollRuntime::reactor_loop() {
   // Per-stream incremental frame parser. All of this state is owned by the
   // reactor thread alone — no locks anywhere on the read path.
   struct Conn {
+    int listener = -1;     // the listener that accepted this stream
     std::size_t have = 0;  // bytes of the current header/payload read so far
     std::uint32_t payload_len = 0;
     bool in_payload = false;
@@ -538,7 +588,8 @@ void EpollRuntime::reactor_loop() {
   auto rearm_at = std::chrono::steady_clock::time_point::max();
 
   // Reads every complete frame currently buffered in the socket; returns
-  // false when the stream is finished (EOF, error, corrupt frame).
+  // false when the stream is finished (EOF, error, corrupt or hostile
+  // frame).
   auto drain = [this](int fd, Conn& c) -> bool {
     for (;;) {
       std::uint8_t* buf;
@@ -566,7 +617,12 @@ void EpollRuntime::reactor_loop() {
       if (!c.in_payload) {
         c.payload_len = DecodeFrameHeader(c.header, c.env);
         c.have = 0;
-        if (c.payload_len > kMaxFrameBytes) return false;  // hostile/corrupt
+        // Only data frames travel on a wire: bounces are made locally, so a
+        // peer sending one is forging another endpoint's failure.
+        if (c.env.kind != DeliveryKind::kData ||
+            c.payload_len > kMaxFrameBytes) {
+          return false;
+        }
         if (c.payload_len > 0) {
           c.payload.resize(c.payload_len);
           c.in_payload = true;
@@ -619,9 +675,11 @@ void EpollRuntime::reactor_loop() {
         while (::read(wake_fd_, &v, sizeof v) > 0) {
         }
         std::vector<ControlOp> ops;
+        std::uint64_t batch;
         {
           base::MutexLock lock(reactor_mutex_);
           ops.swap(control_ops_);
+          batch = control_posted_;
         }
         for (const ControlOp& op : ops) {
           switch (op.kind) {
@@ -633,14 +691,29 @@ void EpollRuntime::reactor_loop() {
               ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, op.fd, &ev);
               break;
             }
+            case ControlOp::Kind::kRemoveListener:
+              listeners.erase(op.fd);
+              std::erase(parked, op.fd);
+              ::close(op.fd);  // close() also drops an fd from epoll
+              std::erase_if(conns, [&](const auto& entry) {
+                if (entry.second.listener != op.fd) return false;
+                ::close(entry.first);
+                return true;
+              });
+              break;
             case ControlOp::Kind::kStop:
               running = false;
               break;
           }
         }
+        {
+          base::MutexLock lock(reactor_mutex_);
+          control_done_ = batch;
+        }
+        control_cv_.notify_all();
       } else if (listeners.contains(fd)) {
         // Accept everything queued. Transient failures must never deafen a
-        // host (ProcessRuntime's acceptor follows the same discipline).
+        // listener.
         for (;;) {
           const int conn =
               ::accept4(fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -667,9 +740,11 @@ void EpollRuntime::reactor_loop() {
             }
             break;  // unexpected (listener shut down mid-poll)
           }
-          const int one = 1;
-          ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-          conns.emplace(conn, Conn{});
+          if (socket_dir_.empty()) {
+            const int one = 1;
+            ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+          }
+          conns[conn].listener = fd;
           epoll_event ev{};
           ev.events = EPOLLIN;
           ev.data.fd = conn;
@@ -687,12 +762,16 @@ void EpollRuntime::reactor_loop() {
     }
   }
   for (auto& [fd, _] : conns) ::close(fd);
-  for (int fd : listeners) ::close(fd);
-  for (int fd : parked) ::close(fd);
+  for (int fd : listeners) ::close(fd);  // parked ones included
+  {
+    base::MutexLock lock(reactor_mutex_);
+    control_done_ = ~std::uint64_t{0};  // nothing further will be carried out
+  }
+  control_cv_.notify_all();
 }
 
 // ---------------------------------------------------------------------------
-// Introspection (same shape as ProcessRuntime's).
+// Introspection.
 
 RuntimeStats EpollRuntime::stats() const { return transport_.view(); }
 

@@ -6,12 +6,14 @@
 // before the paper's "millions of objects" target. Here threads are
 // decoupled from objects:
 //
-//   * A single *reactor* thread owns every socket. Per-HOST nonblocking
-//     loopback listeners (ephemeral ports are ~28k; per-endpoint listeners
-//     cannot reach 1M objects) are accepted and read with epoll; complete
-//     frames (rt/frame.hpp, the wire format ProcessRuntime also speaks) are
-//     routed to the destination endpoint's mailbox by the env.dst header
-//     field.
+//   * A single *reactor* thread owns every socket. Listeners are accepted
+//     and streams read with epoll; complete frames (rt/frame.hpp) are routed
+//     to the destination endpoint's mailbox by the env.dst header field.
+//     The class constructed fixes the listener kind: EpollRuntime binds one
+//     nonblocking loopback TCP listener per HOST (ephemeral ports are ~28k;
+//     per-endpoint ports cannot reach 1M objects); ProcessRuntime binds one
+//     Unix-domain listener per endpoint at ConnPool::UnixSocketPath(dir, id),
+//     so any process sharing the directory dials an endpoint by its id.
 //   * A fixed pool of *workers* (default: hardware_concurrency) drains
 //     mailboxes. Each endpoint is a tiny actor: kIdle until a message
 //     arrives, then kScheduled on a run queue, then kRunning on exactly one
@@ -26,10 +28,10 @@
 //     may be a single worker.
 //
 // Sending goes through the shared ConnPool (MRU reuse, idle reap,
-// reconnect-once, ECONNREFUSED -> kStaleBinding), which owns the failure
-// classification the Section 4.1.4 repair loop depends on. The fault plan
-// is consulted on post, so recovery experiments (host down, partitions,
-// lossy classes) run unchanged over real sockets.
+// reconnect-once, ECONNREFUSED/ENOENT -> kStaleBinding), which owns the
+// failure classification the Section 4.1.4 repair loop depends on. The
+// fault plan is consulted on post, so recovery experiments (host down,
+// partitions, lossy classes) run unchanged over real sockets.
 #pragma once
 
 #include <atomic>
@@ -60,7 +62,7 @@ struct EpollOptions {
   std::uint64_t seed = Rng::kDefaultSeed;
 };
 
-class EpollRuntime final : public Runtime {
+class EpollRuntime : public Runtime {
  public:
   EpollRuntime();
   explicit EpollRuntime(EpollOptions options);
@@ -101,6 +103,47 @@ class EpollRuntime final : public Runtime {
   // endpoints.
   [[nodiscard]] std::size_t runtime_threads() const;
 
+ protected:
+  // Empty for loopback TCP listeners.
+  const std::string socket_dir_;
+
+  mutable base::SharedMutex map_mutex_{base::lock_rank::kEndpointMap};
+
+  // Unix-domain listeners, one per endpoint, in `socket_dir`; the pool
+  // dials endpoint ids there (metrics "rt.proc.pool.*"), and a destination
+  // not in this runtime is a peer process's endpoint, dialled rather than
+  // refused.
+  EpollRuntime(EpollOptions options, std::string socket_dir);
+
+  // Stops the reactor, then the workers (draining what is queued). Called
+  // by a derived destructor before its own members go, because the reactor
+  // and the handlers call back into the derived object; idempotent.
+  void shutdown();
+
+  // Reactor -> mailbox handoff (and the path for locally made bounces):
+  // stamp, count, and schedule if the mailbox was idle. Frames racing an
+  // endpoint close are dropped.
+  virtual void enqueue(Envelope env);
+
+  // The id the next endpoint takes: sequential from 1.
+  virtual std::uint64_t next_endpoint_id() REQUIRES(map_mutex_);
+
+  // True when the fault plan drops a frame from `src` to `dst` (counted).
+  bool dropped_by_faults(HostId src, HostId dst, net::LatencyClass cls);
+
+  // RAII around a potentially-blocking region on a worker thread: tells the
+  // pool so it can compensate with a spare and the system keeps draining.
+  class BlockedScope {
+   public:
+    explicit BlockedScope(EpollRuntime* rt);
+    ~BlockedScope();
+    BlockedScope(const BlockedScope&) = delete;
+    BlockedScope& operator=(const BlockedScope&) = delete;
+
+   private:
+    EpollRuntime* rt_ = nullptr;
+  };
+
  private:
   // Actor mailbox lifecycle. Exactly one worker runs an endpoint at a time:
   //   kIdle --(first message)--> kScheduled --(worker pops)--> kRunning
@@ -116,6 +159,7 @@ class EpollRuntime final : public Runtime {
     MessageHandler handler;
     ExecutionMode mode = ExecutionMode::kServiced;
     std::uint16_t host_port = 0;  // the host listener this endpoint shares
+    int listen_fd = -1;           // its own Unix-domain listener, if any
     EndpointId id;
 
     base::Mutex mutex{base::lock_rank::kEndpoint};
@@ -148,9 +192,13 @@ class EpollRuntime final : public Runtime {
   };
 
   // Socket registrations handed to the reactor thread (it alone touches
-  // epoll) alongside an eventfd kick.
+  // epoll and closes listeners) alongside an eventfd kick.
   struct ControlOp {
-    enum class Kind : std::uint8_t { kAddListener, kStop } kind;
+    enum class Kind : std::uint8_t {
+      kAddListener,
+      kRemoveListener,  // closes the listener and the streams it accepted
+      kStop,
+    } kind;
     int fd = -1;
   };
 
@@ -163,18 +211,16 @@ class EpollRuntime final : public Runtime {
   EndpointPtr next_endpoint(Worker* self);
   void run_endpoint(const EndpointPtr& ep);
   void spawn_worker() REQUIRES(pool_mutex_);
-  // RAII around a potentially-blocking region on a worker thread: tells the
-  // pool so it can compensate with a spare and the system keeps draining.
-  class BlockedScope;
 
   // --- reactor ---
   void reactor_loop();
-  void post_control(ControlOp op);
-  void enqueue(Envelope env);  // reactor -> mailbox handoff
+  // Returns the op's ticket: the reactor has carried it out once
+  // control_done_ reaches it.
+  std::uint64_t post_control(ControlOp op);
+  void close_listener(const Endpoint& ep);
 
   const EpollOptions options_;
 
-  mutable base::SharedMutex map_mutex_{base::lock_rank::kEndpointMap};
   std::unordered_map<std::uint64_t, EndpointPtr> endpoints_
       GUARDED_BY(map_mutex_);
   std::uint64_t next_endpoint_ GUARDED_BY(map_mutex_) = 1;
@@ -202,9 +248,13 @@ class EpollRuntime final : public Runtime {
   bool sched_stopping_ GUARDED_BY(sched_mutex_) = false;
 
   // Reactor control: ops + eventfd kick. The reactor drains ops whenever
-  // the eventfd fires.
+  // the eventfd fires, then publishes the last ticket it carried out
+  // (~0 once it has exited) for close_listener to wait on.
   base::Mutex reactor_mutex_{base::lock_rank::kReactorControl};
+  base::CondVar control_cv_;
   std::vector<ControlOp> control_ops_ GUARDED_BY(reactor_mutex_);
+  std::uint64_t control_posted_ GUARDED_BY(reactor_mutex_) = 0;
+  std::uint64_t control_done_ GUARDED_BY(reactor_mutex_) = 0;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   std::thread reactor_;
@@ -212,12 +262,13 @@ class EpollRuntime final : public Runtime {
   base::Mutex rng_mutex_{base::lock_rank::kRng};
   Rng rng_ GUARDED_BY(rng_mutex_);
 
-  // Client-side connection pool, shared implementation with ProcessRuntime.
-  ConnPool pool_{options_.tcp, metrics_, ConnPool::LoopbackDialer()};
+  // Client-side connection pool: keyed by host listener port (TCP) or by
+  // endpoint id (Unix-domain).
+  ConnPool pool_;
 
   obs::Counter& io_retries_{metrics_.counter("rt.eintr_retries")};
-  // accept() failures survived without deafening a host listener
-  // (ECONNABORTED retries, fd-exhaustion backoffs).
+  // accept() failures survived without deafening a listener (ECONNABORTED
+  // retries, fd-exhaustion backoffs), Unix-domain listeners included.
   obs::Counter& accept_retries_{metrics_.counter("rt.tcp.accept_retries")};
   // Spare workers spawned to cover blocked ones (wakeups visible in tests
   // exercising deep nested call chains).

@@ -5,9 +5,9 @@
 // self-delimiting, so any number of them multiplex over one persistent
 // stream. (queued_at is receiver-local and deliberately NOT on the wire.)
 //
-// EpollRuntime's reactor and ProcessRuntime's per-connection reader threads
-// parse the identical 49-byte header, so the two transports are wire
-// compatible by construction.
+// The reactor is the only reader: it parses the 49-byte header for both
+// listener kinds (loopback TCP and Unix-domain) and accepts only kData
+// frames from a peer — bounces are made locally, never sent.
 #pragma once
 
 #include <cstddef>

@@ -294,7 +294,7 @@ void Messenger::handle_request(Envelope&& env, Reader& r) {
 
   // Queue time: inbox-entry stamp (set by the runtime at enqueue) to this
   // dequeue. The sim dispatches inline at delivery, so its queue time is a
-  // true zero; the thread and tcp runtimes measure real mailbox residency.
+  // true zero; the real-clock runtimes measure real mailbox residency.
   std::uint64_t queue_us = 0;
   if (env.queued_at > 0 && dequeued_at > env.queued_at) {
     queue_us = static_cast<std::uint64_t>(dequeued_at - env.queued_at);

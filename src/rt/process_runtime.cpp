@@ -3,19 +3,15 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cassert>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
-#include "rt/frame.hpp"
-#include "rt/socket_util.hpp"
 #include "rt/spawn_child.hpp"
 
 namespace legion::rt {
@@ -26,6 +22,25 @@ namespace {
 // while in flight to a child, bounced on its death) from replies.
 constexpr std::uint8_t kMessengerRequest = 1;
 constexpr std::uint8_t kMessengerReply = 2;
+
+// True, with the call id, when `env` is a Messenger frame of kind `want`.
+bool PeekMessengerFrame(const Envelope& env, std::uint8_t want,
+                        std::uint64_t& call_id) {
+  if (env.kind != DeliveryKind::kData) return false;
+  Reader r(env.payload);
+  const std::uint8_t kind = r.u8();
+  call_id = r.u64();
+  return r.ok() && kind == want;
+}
+
+// A parent sizes its pool to the machine; a worker process serves one
+// object, and spare workers already cover its nested waits.
+EpollOptions KernelOptions(const ProcessOptions& options) {
+  EpollOptions out;
+  out.tcp = options.tcp;
+  out.workers = options.worker_endpoint_id != 0 ? 1 : 0;
+  return out;
+}
 
 bool WriteFile(const std::string& path, const Buffer& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -63,26 +78,25 @@ bool AwaitReadyByte(int fd, SimTime timeout_us) {
 
 }  // namespace
 
-std::string ProcessRuntime::ResolveSocketDir(const ProcessOptions& options,
-                                             bool& owned) {
-  owned = false;
-  if (!options.socket_dir.empty()) return options.socket_dir;
+ProcessRuntime::SocketDir ProcessRuntime::ResolveSocketDir(
+    const ProcessOptions& options) {
+  if (!options.socket_dir.empty()) return {options.socket_dir, false};
   // Keep the template short: every endpoint's `<dir>/ep-<id>.sock` must fit
   // sockaddr_un's ~107-byte path (socket_util.hpp).
   char tmpl[] = "/tmp/legion.XXXXXX";
-  if (::mkdtemp(tmpl) == nullptr) return "/tmp";
-  owned = true;
-  return tmpl;
+  if (::mkdtemp(tmpl) == nullptr) return {"/tmp", false};
+  return {tmpl, true};
 }
 
 ProcessRuntime::ProcessRuntime() : ProcessRuntime(ProcessOptions{}) {}
 
 ProcessRuntime::ProcessRuntime(ProcessOptions options)
-    : options_(std::move(options)),
-      socket_dir_(ResolveSocketDir(options_, owns_socket_dir_)),
-      pool_(options_.tcp, metrics_, ConnPool::UnixDialer(socket_dir_),
-            "rt.proc.pool"),
-      epoch_(std::chrono::steady_clock::now()) {
+    : ProcessRuntime(options, ResolveSocketDir(options)) {}
+
+ProcessRuntime::ProcessRuntime(ProcessOptions options, SocketDir dir)
+    : EpollRuntime(KernelOptions(options), std::move(dir.path)),
+      options_(std::move(options)),
+      owns_socket_dir_(dir.owned) {
   child_log_dir_ = options_.child_log_dir;
   if (child_log_dir_.empty()) {
     if (const char* env = std::getenv("LEGION_CHILD_LOG_DIR")) {
@@ -132,439 +146,82 @@ ProcessRuntime::~ProcessRuntime() {
     (void)::waitpid(static_cast<pid_t>(pid), &status, 0);
   }
 
-  std::vector<EndpointPtr> eps;
-  {
-    base::WriterMutexLock lock(map_mutex_);
-    for (auto& [_, ep] : endpoints_) eps.push_back(ep);
-    endpoints_.clear();
-  }
-  for (auto& ep : eps) stop_endpoint(ep);
-  for (auto& ep : eps) {
-    if (ep->acceptor.joinable()) ep->acceptor.join();
-    if (ep->service.joinable()) ep->service.join();
-    std::vector<std::thread> readers;
-    {
-      base::MutexLock lock(ep->conns_mutex);
-      readers.swap(ep->readers);
-    }
-    for (auto& t : readers) {
-      if (t.joinable()) t.join();
-    }
-    base::MutexLock lock(ep->conns_mutex);
-    for (int& fd : ep->conn_fds) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
-  }
-  pool_.close_all();
-  {
-    base::MutexLock lock(graveyard_mutex_);
-    for (auto& t : graveyard_) {
-      if (t.joinable()) t.join();
-    }
-  }
+  // The reactor and the handlers call back into this object (enqueue,
+  // post): stop them while every member still lives.
+  shutdown();
   if (owns_socket_dir_) {
     std::error_code ec;
     std::filesystem::remove_all(socket_dir_, ec);
   }
 }
 
-void ProcessRuntime::stop_endpoint(const EndpointPtr& ep) {
-  ep->alive.store(false);
-  if (ep->listen_fd >= 0) {
-    ::shutdown(ep->listen_fd, SHUT_RDWR);
-    ::close(ep->listen_fd);
-  }
-  // Unlink the socket file so peers dialing this endpoint get ENOENT — the
-  // UDS flavor of kStaleBinding — instead of connecting to a dead inode.
-  if (!ep->socket_path.empty()) ::unlink(ep->socket_path.c_str());
-  {
-    base::MutexLock lock(ep->conns_mutex);
-    for (int fd : ep->conn_fds) {
-      if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-    }
-  }
-  {
-    base::MutexLock lock(ep->mutex);
-    ep->stopping = true;
-    ++ep->wakeups;
-  }
-  ep->cv.notify_all();
-}
-
-EndpointId ProcessRuntime::create_endpoint(HostId host, std::string label,
-                                           MessageHandler handler,
-                                           ExecutionMode mode) {
-  assert(topology_.host(host) != nullptr && "endpoint on unknown host");
-  auto ep = std::make_shared<Endpoint>();
-  ep->host = host;
-  ep->label = std::move(label);
-  ep->handler = std::move(handler);
-  ep->mode = mode;
-
-  std::uint64_t id_value = 0;
-  {
-    base::WriterMutexLock lock(map_mutex_);
-    if (worker_mode()) {
-      // The first endpoint takes the id the parent assigned (its published
-      // binding routes here); later ones get ids in a shifted namespace no
-      // parent-side allocation collides with.
-      id_value = next_local_endpoint_ == 0
-                     ? options_.worker_endpoint_id
-                     : (options_.worker_endpoint_id << 16) +
-                           next_local_endpoint_;
-      ++next_local_endpoint_;
-    } else {
-      id_value = next_endpoint_++;
-    }
-    ep->socket_path = ConnPool::UnixSocketPath(socket_dir_, id_value);
-    ep->listen_fd =
-        CreateUnixListener(ep->socket_path, options_.tcp.listen_backlog);
-    if (ep->listen_fd < 0) return EndpointId{};
-    endpoints_.emplace(id_value, ep);
-  }
-  ep->acceptor = std::thread([this, ep] { acceptor_loop(ep); });
-  if (mode == ExecutionMode::kServiced) {
-    ep->service = std::thread([this, ep] { service_loop(ep); });
-  }
-  return EndpointId{id_value};
-}
-
-void ProcessRuntime::close_endpoint(EndpointId id) {
-  EndpointPtr ep = find(id);
-  if (!ep) return;
-  {
-    base::WriterMutexLock lock(map_mutex_);
-    endpoints_.erase(id.value);
-  }
-  stop_endpoint(ep);
-  auto reap = [this](std::thread& t) {
-    if (!t.joinable()) return;
-    if (t.get_id() == std::this_thread::get_id()) {
-      base::MutexLock lock(graveyard_mutex_);
-      graveyard_.push_back(std::move(t));
-    } else {
-      t.join();
-    }
-  };
-  reap(ep->acceptor);
-  reap(ep->service);
-  std::vector<std::thread> readers;
-  {
-    base::MutexLock lock(ep->conns_mutex);
-    readers.swap(ep->readers);
-  }
-  // Readers never run handlers (they only feed the inbox), so the closing
-  // thread is never one of them and a plain join is safe.
-  for (auto& t : readers) {
-    if (t.joinable()) t.join();
-  }
-  base::MutexLock lock(ep->conns_mutex);
-  for (int& fd : ep->conn_fds) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
+std::uint64_t ProcessRuntime::next_endpoint_id() {
+  if (!worker_mode()) return EpollRuntime::next_endpoint_id();
+  // The first endpoint takes the id the parent assigned (its published
+  // binding routes here); later ones get ids in a shifted namespace no
+  // parent-side allocation collides with.
+  const std::uint64_t n = next_local_endpoint_++;
+  return n == 0 ? options_.worker_endpoint_id
+                : (options_.worker_endpoint_id << 16) + n;
 }
 
 bool ProcessRuntime::endpoint_alive(EndpointId id) const {
-  EndpointPtr ep = find(id);
-  if (ep) return ep->alive.load();
-  base::MutexLock lock(children_mutex_);
-  auto it = children_.find(id.value);
-  return it != children_.end() && it->second.alive;
+  return EpollRuntime::endpoint_alive(id) || child_alive(id);
 }
 
 HostId ProcessRuntime::host_of(EndpointId id) const {
-  EndpointPtr ep = find(id);
-  if (ep) return ep->host;
+  const HostId local = EpollRuntime::host_of(id);
+  if (local.valid()) return local;
   base::MutexLock lock(children_mutex_);
   auto it = children_.find(id.value);
   return it != children_.end() ? it->second.host : HostId{};
 }
 
-ProcessRuntime::EndpointPtr ProcessRuntime::find(EndpointId id) const {
-  base::ReaderMutexLock lock(map_mutex_);
-  auto it = endpoints_.find(id.value);
-  return it == endpoints_.end() ? nullptr : it->second;
-}
-
-Status ProcessRuntime::note_outgoing_request(EndpointId src, EndpointId dst,
-                                             const Envelope& env) {
-  if (env.kind != DeliveryKind::kData) return OkStatus();
-  Reader r(env.payload);
-  const std::uint8_t kind = r.u8();
-  const std::uint64_t call_id = r.u64();
-  if (!r.ok() || kind != kMessengerRequest) return OkStatus();
-  base::MutexLock lock(children_mutex_);
-  auto it = children_.find(dst.value);
-  if (it == children_.end()) return OkStatus();
-  if (!it->second.alive) {
-    return StaleBindingError("worker process exited");
-  }
-  if (it->second.outstanding.size() >= kMaxOutstanding) {
-    return UnavailableError("worker call backlog full");
-  }
-  it->second.outstanding.emplace(call_id, src);
-  return OkStatus();
-}
-
-void ProcessRuntime::note_incoming_reply(const Envelope& env) {
-  if (env.kind != DeliveryKind::kData) return;
-  Reader r(env.payload);
-  const std::uint8_t kind = r.u8();
-  const std::uint64_t call_id = r.u64();
-  if (!r.ok() || kind != kMessengerReply) return;
-  base::MutexLock lock(children_mutex_);
-  auto it = children_.find(env.src.value);
-  if (it != children_.end()) it->second.outstanding.erase(call_id);
-}
-
 Status ProcessRuntime::post(Envelope env) {
-  EndpointPtr src = find(env.src);
-  if (!src) return InternalError("post from unknown endpoint");
-  EndpointPtr dst = find(env.dst);
-
-  HostId dst_host{};
-  bool dst_is_child = false;
-  if (dst) {
-    if (!dst->alive.load()) {
-      return StaleBindingError("destination endpoint closed");
-    }
-    dst_host = dst->host;
-  } else if (!worker_mode()) {
+  if (worker_mode()) return EpollRuntime::post(std::move(env));
+  // A child's endpoint is not in the kernel's map, so the kernel dials it
+  // unseen: the fault plan and the in-flight table are consulted here.
+  const HostId src_host = faults_.any_faults() ? host_of(env.src) : HostId{};
+  std::uint64_t call_id = 0;
+  bool tracked = false;
+  {
     base::MutexLock lock(children_mutex_);
     auto it = children_.find(env.dst.value);
     if (it != children_.end()) {
-      if (!it->second.alive) {
-        return StaleBindingError("worker process exited");
+      Child& child = it->second;
+      if (!child.alive) return StaleBindingError("worker process exited");
+      if (src_host.valid() &&
+          dropped_by_faults(src_host, child.host,
+                            topology_.classify(src_host, child.host))) {
+        return OkStatus();
       }
-      dst_host = it->second.host;
-      dst_is_child = true;
-    }
-  }
-  // An unknown destination is a peer process's endpoint (a worker replying
-  // to its parent, or vice versa): attempt the dial, and let ENOENT at the
-  // socket file classify as the stale binding it is.
-
-  if (faults_.any_faults() && dst_host.valid()) {
-    const net::LatencyClass cls = topology_.classify(src->host, dst_host);
-    base::MutexLock lock(rng_mutex_);
-    if (faults_.should_drop(src->host, dst_host, cls, rng_)) {
-      transport_.dropped.inc();
-      return OkStatus();
-    }
-  }
-
-  bool tracked = false;
-  if (dst_is_child) {
-    Status st = note_outgoing_request(env.src, env.dst, env);
-    if (!st.ok()) return st;
-    tracked = true;
-  }
-
-  Status st = pool_.send(env.dst.value, env);
-  if (!st.ok()) {
-    if (tracked) forget_outgoing_request(env.dst, env);
-    return st;
-  }
-
-  {
-    base::MutexLock lock(src->mutex);
-    src->stats.sent += 1;
-    src->stats.bytes_sent += env.payload.size();
-  }
-  transport_.delivered.inc();
-  return OkStatus();
-}
-
-void ProcessRuntime::forget_outgoing_request(EndpointId dst,
-                                             const Envelope& env) {
-  Reader r(env.payload);
-  const std::uint8_t kind = r.u8();
-  const std::uint64_t call_id = r.u64();
-  if (!r.ok() || kind != kMessengerRequest) return;
-  base::MutexLock lock(children_mutex_);
-  auto it = children_.find(dst.value);
-  if (it != children_.end()) it->second.outstanding.erase(call_id);
-}
-
-void ProcessRuntime::notify(EndpointId id) {
-  EndpointPtr ep = find(id);
-  if (!ep) return;
-  {
-    base::MutexLock lock(ep->mutex);
-    ++ep->wakeups;
-  }
-  ep->cv.notify_all();
-}
-
-void ProcessRuntime::acceptor_loop(const EndpointPtr& ep) {
-  for (;;) {
-    const int conn = AcceptConn(ep->listen_fd);
-    if (conn < 0) {
-      // Only a closed listener may end this loop, or the endpoint is
-      // deafened while its socket file stays routable.
-      if (!ep->alive.load()) return;
-      switch (errno) {
-        case EINTR:
-          io_retries_.inc();
-          continue;
-        case ECONNABORTED:
-          accept_retries_.inc();
-          continue;
-        case EMFILE:
-        case ENFILE:
-        case ENOBUFS:
-        case ENOMEM:
-          accept_retries_.inc();
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-          continue;
-        default:
-          return;
-      }
-    }
-    std::thread vacated;
-    {
-      base::MutexLock lock(ep->conns_mutex);
-      if (!ep->alive.load()) {
-        ::close(conn);
-        return;
-      }
-      if (!ep->free_slots.empty()) {
-        const std::size_t slot = ep->free_slots.back();
-        ep->free_slots.pop_back();
-        vacated = std::move(ep->readers[slot]);
-        ep->conn_fds[slot] = conn;
-        ep->readers[slot] = std::thread(
-            [this, ep, slot, conn] { reader_loop(ep, slot, conn); });
-      } else {
-        const std::size_t slot = ep->conn_fds.size();
-        ep->conn_fds.push_back(conn);
-        ep->readers.emplace_back(
-            [this, ep, slot, conn] { reader_loop(ep, slot, conn); });
-        reader_slots_.inc();
-      }
-    }
-    if (vacated.joinable()) vacated.join();
-  }
-}
-
-void ProcessRuntime::reader_loop(const EndpointPtr& ep, std::size_t slot,
-                                 int fd) {
-  std::vector<std::uint8_t> header(kFrameHeaderBytes);
-  for (;;) {
-    if (!ReadAll(fd, header.data(), header.size(), io_retries_)) break;
-    Envelope env;
-    const std::uint32_t payload_len = DecodeFrameHeader(header.data(), env);
-    if (payload_len > kMaxFrameBytes) break;
-    if (payload_len > 0) {
-      std::vector<std::uint8_t> payload(payload_len);
-      if (!ReadAll(fd, payload.data(), payload.size(), io_retries_)) break;
-      env.payload = Buffer{std::move(payload)};
-    }
-
-    // Replies crossing back from a worker settle its in-flight entry, so a
-    // later crash only bounces calls that are genuinely unanswered.
-    if (!worker_mode()) note_incoming_reply(env);
-
-    bool deliver = true;
-    {
-      base::MutexLock lock(ep->mutex);
-      if (ep->stopping) {
-        deliver = false;
-      } else {
-        ep->stats.received += 1;
-        ep->stats.bytes_received += env.payload.size();
-        env.queued_at = now();
-        ep->inbox.push_back(std::move(env));
-        ++ep->wakeups;
-      }
-    }
-    if (!deliver) break;
-    ep->cv.notify_all();
-  }
-  base::MutexLock lock(ep->conns_mutex);
-  ::close(fd);
-  ep->conn_fds[slot] = -1;
-  ep->free_slots.push_back(slot);
-}
-
-bool ProcessRuntime::pop_one(const EndpointPtr& ep, Envelope& out) {
-  base::MutexLock lock(ep->mutex);
-  if (ep->inbox.empty()) return false;
-  out = std::move(ep->inbox.front());
-  ep->inbox.pop_front();
-  return true;
-}
-
-void ProcessRuntime::service_loop(const EndpointPtr& ep) {
-  for (;;) {
-    Envelope env;
-    {
-      base::MutexLock lock(ep->mutex);
-      while (!ep->stopping && ep->inbox.empty()) ep->cv.wait(ep->mutex);
-      if (ep->inbox.empty()) return;
-      env = std::move(ep->inbox.front());
-      ep->inbox.pop_front();
-    }
-    if (ep->handler) ep->handler(std::move(env));
-  }
-}
-
-SimTime ProcessRuntime::now() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
-
-bool ProcessRuntime::wait(EndpointId self, const std::function<bool()>& ready,
-                          SimTime timeout_us) {
-  EndpointPtr ep = find(self);
-  if (!ep) return ready();
-  const auto deadline =
-      timeout_us == kSimTimeNever
-          ? std::chrono::steady_clock::time_point::max()
-          : std::chrono::steady_clock::now() +
-                std::chrono::microseconds(timeout_us);
-  for (;;) {
-    if (ready()) return true;
-    Envelope env;
-    if (pop_one(ep, env)) {
-      if (ep->handler) ep->handler(std::move(env));
-      continue;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return ready();
-    {
-      base::MutexLock lock(ep->mutex);
-      if (!ep->inbox.empty()) continue;
-      const std::uint64_t seen = ep->wakeups;
-      const auto cap = ep->stopping ? now + std::chrono::milliseconds(1)
-                                    : now + std::chrono::milliseconds(50);
-      const auto until = std::min(deadline, cap);
-      while (ep->wakeups == seen) {
-        if (ep->cv.wait_until(ep->mutex, until)) break;  // timed out
-      }
-    }
-  }
-}
-
-void ProcessRuntime::run_until_idle() {
-  for (int calm = 0; calm < 2;) {
-    bool busy = false;
-    {
-      base::ReaderMutexLock lock(map_mutex_);
-      for (const auto& [_, ep] : endpoints_) {
-        base::MutexLock elock(ep->mutex);
-        if (!ep->inbox.empty()) {
-          busy = true;
-          break;
+      if (PeekMessengerFrame(env, kMessengerRequest, call_id)) {
+        if (child.outstanding.size() >= kMaxOutstanding) {
+          return UnavailableError("worker call backlog full");
         }
+        child.outstanding.emplace(call_id, env.src);
+        tracked = true;
       }
     }
-    calm = busy ? 0 : calm + 1;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+  const EndpointId dst = env.dst;
+  Status st = EpollRuntime::post(std::move(env));
+  if (!st.ok() && tracked) {
+    base::MutexLock lock(children_mutex_);
+    auto it = children_.find(dst.value);
+    if (it != children_.end()) it->second.outstanding.erase(call_id);
+  }
+  return st;
+}
+
+void ProcessRuntime::enqueue(Envelope env) {
+  std::uint64_t call_id = 0;
+  if (!worker_mode() && PeekMessengerFrame(env, kMessengerReply, call_id)) {
+    base::MutexLock lock(children_mutex_);
+    auto it = children_.find(env.src.value);
+    if (it != children_.end()) it->second.outstanding.erase(call_id);
+  }
+  EpollRuntime::enqueue(std::move(env));
 }
 
 // --- ProcessControl ---------------------------------------------------
@@ -585,7 +242,7 @@ Result<SpawnInfo> ProcessRuntime::spawn_object(const SpawnSpec& spec) {
   std::uint64_t id = 0;
   {
     base::WriterMutexLock lock(map_mutex_);
-    id = next_endpoint_++;
+    id = next_endpoint_id();
   }
 
   // Stage the OPR and handles as files: the worker's whole activation input
@@ -629,7 +286,9 @@ Result<SpawnInfo> ProcessRuntime::spawn_object(const SpawnSpec& spec) {
   // The worker writes 'R' to fd 3 only after its listener is bound, so a
   // successful handshake means the returned endpoint is immediately
   // dialable. EOF without the byte is how exec failure (_exit(127)) and
-  // early crashes surface.
+  // early crashes surface. A host object's handler runs this on a pool
+  // worker, and the wait can take seconds: the pool covers it.
+  BlockedScope blocked(this);
   const bool became_ready = AwaitReadyByte(ready[0], options_.spawn_timeout_us);
   ::close(ready[0]);
   if (!became_ready) {
@@ -675,6 +334,7 @@ Status ProcessRuntime::stop_child(EndpointId endpoint) {
   // graceful phase is real rather than a guaranteed SIGKILL.
   if (paused) ::kill(static_cast<pid_t>(pid), SIGCONT);
   ::kill(static_cast<pid_t>(pid), SIGTERM);
+  BlockedScope blocked(this);  // the grace loop below can take seconds
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::microseconds(options_.stop_grace_us);
   for (;;) {
@@ -807,63 +467,7 @@ void ProcessRuntime::mark_child_dead(std::uint64_t endpoint_value) {
     w.u64(call_id);
     bounced_unavailable_.inc();
     transport_.bounced.inc();
-    deliver_local(std::move(bounce));
-  }
-}
-
-void ProcessRuntime::deliver_local(Envelope env) {
-  EndpointPtr ep = find(env.dst);
-  if (!ep) return;
-  {
-    base::MutexLock lock(ep->mutex);
-    if (ep->stopping) return;
-    ep->stats.received += 1;
-    ep->stats.bytes_received += env.payload.size();
-    env.queued_at = now();
-    ep->inbox.push_back(std::move(env));
-    ++ep->wakeups;
-  }
-  ep->cv.notify_all();
-}
-
-RuntimeStats ProcessRuntime::stats() const { return transport_.view(); }
-
-EndpointStats ProcessRuntime::endpoint_stats(EndpointId id) const {
-  EndpointPtr ep = find(id);
-  if (!ep) return EndpointStats{};
-  base::MutexLock lock(ep->mutex);
-  return ep->stats;
-}
-
-std::map<std::string, std::uint64_t> ProcessRuntime::received_by_label()
-    const {
-  std::map<std::string, std::uint64_t> out;
-  base::ReaderMutexLock lock(map_mutex_);
-  for (const auto& [_, ep] : endpoints_) {
-    base::MutexLock elock(ep->mutex);
-    out[ep->label] += ep->stats.received;
-  }
-  return out;
-}
-
-std::uint64_t ProcessRuntime::max_received_with_label(
-    const std::string& label) const {
-  std::uint64_t best = 0;
-  base::ReaderMutexLock lock(map_mutex_);
-  for (const auto& [_, ep] : endpoints_) {
-    if (ep->label != label) continue;
-    base::MutexLock elock(ep->mutex);
-    best = std::max(best, ep->stats.received);
-  }
-  return best;
-}
-
-void ProcessRuntime::reset_stats() {
-  transport_.reset();
-  base::ReaderMutexLock lock(map_mutex_);
-  for (const auto& [_, ep] : endpoints_) {
-    base::MutexLock elock(ep->mutex);
-    ep->stats = EndpointStats{};
+    EpollRuntime::enqueue(std::move(bounce));
   }
 }
 

@@ -9,13 +9,14 @@
 // worker destroys exactly one object — the host and every sibling keep
 // running, which no in-process runtime can promise.
 //
-// Transport: each endpoint — in whichever process — listens on a Unix-domain
-// socket whose path is a pure function of the endpoint id
-// (ConnPool::UnixSocketPath: `<dir>/ep-<id>.sock`), so parent and children
-// route to each other with zero coordination: posting to endpoint N means
-// dialing ep-N.sock, whoever owns it. Frames are the same 49-byte-header
-// format as EpollRuntime's (rt/frame.hpp) through the same ConnPool
-// (reuse / reconnect-once / stale-vs-unavailable classification).
+// Transport: this is EpollRuntime's kernel — one reactor, actor mailboxes,
+// a work-stealing pool — with the Unix-domain listener kind. Each endpoint,
+// in whichever process, listens on a socket whose path is a pure function
+// of the endpoint id (ConnPool::UnixSocketPath: `<dir>/ep-<id>.sock`), so
+// parent and children route to each other with zero coordination: posting
+// to endpoint N means dialing ep-N.sock, whoever owns it. What this class
+// adds is the socket directory, ProcessControl, the reaper and the table of
+// calls in flight to each child.
 //
 // Failure surface: a dead worker's socket gives ECONNREFUSED/ENOENT =
 // kStaleBinding on new sends, while requests already in flight to it are
@@ -24,20 +25,19 @@
 // waiting out their deadline (see DeliveryKind::kBounceUnavailable).
 //
 // One class, two modes:
-//   * parent (worker_endpoint_id == 0): full runtime + ProcessControl
-//     (spawn/stop/kill/pause), SIGCHLD-free per-pid reaping, fault-plan
-//     child injector, rt.proc.* metrics.
-//   * worker (worker_endpoint_id != 0): the same transport inside a child;
-//     the first created endpoint takes the id the parent assigned (so the
-//     binding the parent published routes here), and process_control() is
-//     null — workers do not spawn grandchildren.
+//   * parent (worker_endpoint_id == 0): the kernel with a
+//     hardware_concurrency pool + ProcessControl (spawn/stop/kill/pause),
+//     SIGCHLD-free per-pid reaping, fault-plan child injector, rt.proc.*
+//     metrics.
+//   * worker (worker_endpoint_id != 0): the kernel inside a child, with one
+//     pool worker (spares cover nested waits); the first created endpoint
+//     takes the id the parent assigned (so the binding the parent published
+//     routes here), and process_control() is null — workers do not spawn
+//     grandchildren.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -45,8 +45,7 @@
 
 #include "base/mutex.hpp"
 #include "base/thread_annotations.hpp"
-#include "rt/conn_pool.hpp"
-#include "rt/runtime.hpp"
+#include "rt/epoll_runtime.hpp"
 
 namespace legion::rt {
 
@@ -69,33 +68,17 @@ struct ProcessOptions {
   std::string child_log_dir;
 };
 
-class ProcessRuntime final : public Runtime, public ProcessControl {
+class ProcessRuntime final : public EpollRuntime, public ProcessControl {
  public:
   ProcessRuntime();
   explicit ProcessRuntime(ProcessOptions options);
   ~ProcessRuntime() override;
 
-  EndpointId create_endpoint(HostId host, std::string label,
-                             MessageHandler handler,
-                             ExecutionMode mode) override;
-  void close_endpoint(EndpointId id) override;
+  // Child endpoints are not in the kernel's map: these consult the child
+  // table for them.
   [[nodiscard]] bool endpoint_alive(EndpointId id) const override;
   [[nodiscard]] HostId host_of(EndpointId id) const override;
-
   Status post(Envelope env) override;
-  [[nodiscard]] SimTime now() const override;
-  bool wait(EndpointId self, const std::function<bool()>& ready,
-            SimTime timeout_us) override;
-  void notify(EndpointId id) override;
-  void run_until_idle() override;
-
-  [[nodiscard]] RuntimeStats stats() const override;
-  [[nodiscard]] EndpointStats endpoint_stats(EndpointId id) const override;
-  [[nodiscard]] std::map<std::string, std::uint64_t> received_by_label()
-      const override;
-  [[nodiscard]] std::uint64_t max_received_with_label(
-      const std::string& label) const override;
-  void reset_stats() override;
 
   [[nodiscard]] ProcessControl* process_control() override {
     return worker_mode() ? nullptr : this;
@@ -117,37 +100,6 @@ class ProcessRuntime final : public Runtime, public ProcessControl {
   }
 
  private:
-  // Each endpoint owns a Unix-domain listener, an acceptor thread, one
-  // reader thread per accepted stream, and (kServiced) a service thread.
-  struct Endpoint {
-    HostId host;
-    std::string label;
-    MessageHandler handler;
-    ExecutionMode mode = ExecutionMode::kServiced;
-    int listen_fd = -1;
-    std::string socket_path;
-
-    base::Mutex mutex{base::lock_rank::kEndpoint};
-    base::CondVar cv;
-    std::deque<Envelope> inbox GUARDED_BY(mutex);
-    bool stopping GUARDED_BY(mutex) = false;
-    std::uint64_t wakeups GUARDED_BY(mutex) = 0;
-    EndpointStats stats GUARDED_BY(mutex);
-
-    std::atomic<bool> alive{true};
-    std::thread acceptor;
-    std::thread service;  // kServiced only
-
-    // Accepted streams. A reader closes its own fd on exit, marks the slot
-    // -1 and lists it in free_slots; the acceptor reuses freed slots before
-    // growing the vectors, so connection churn cannot grow them.
-    base::Mutex conns_mutex{base::lock_rank::kEndpointConns};
-    std::vector<int> conn_fds GUARDED_BY(conns_mutex);  // -1 = closed
-    std::vector<std::thread> readers GUARDED_BY(conns_mutex);
-    std::vector<std::size_t> free_slots GUARDED_BY(conns_mutex);
-  };
-  using EndpointPtr = std::shared_ptr<Endpoint>;
-
   // One spawned worker. `outstanding` maps the call_id of every Messenger
   // request posted to the child (and not yet answered) to the local caller
   // endpoint, so the reaper can bounce exactly those calls when the worker
@@ -164,51 +116,44 @@ class ProcessRuntime final : public Runtime, public ProcessControl {
   };
   static constexpr std::size_t kMaxOutstanding = 4096;
 
-  EndpointPtr find(EndpointId id) const;
-  void acceptor_loop(const EndpointPtr& ep);
-  void reader_loop(const EndpointPtr& ep, std::size_t slot, int fd);
-  void service_loop(const EndpointPtr& ep);
-  static bool pop_one(const EndpointPtr& ep, Envelope& out);
-  void stop_endpoint(const EndpointPtr& ep);
+  // The socket directory and whether this runtime created (and so removes)
+  // it.
+  struct SocketDir {
+    std::string path;
+    bool owned = false;
+  };
+  // options.socket_dir, or "" in parent mode = mkdtemp.
+  static SocketDir ResolveSocketDir(const ProcessOptions& options);
+  ProcessRuntime(ProcessOptions options, SocketDir dir);
 
-  // Parent bookkeeping around a request/reply crossing a process boundary.
-  // Peeks the Messenger payload kind byte; non-Messenger payloads pass
-  // through untouched.
-  Status note_outgoing_request(EndpointId src, EndpointId dst,
-                               const Envelope& env);
-  void forget_outgoing_request(EndpointId dst, const Envelope& env);
-  void note_incoming_reply(const Envelope& env);
+  // Worker mode: the first endpoint takes the parent-assigned id, later
+  // ones ids no parent allocation collides with.
+  std::uint64_t next_endpoint_id() REQUIRES(map_mutex_) override;
+
+  // Replies crossing back from a worker settle its in-flight entry, so a
+  // later crash only bounces calls that are genuinely unanswered.
+  void enqueue(Envelope env) override;
 
   // Reaper thread (parent mode): per-pid waitpid(WNOHANG) — never wait(-1),
   // which would steal the exit status of a spawn_object racing us — then
   // bounce the dead child's outstanding calls as kBounceUnavailable.
   void reaper_loop();
   // Collects a dead child's outstanding calls in one phase (children lock,
-  // rank 18) and delivers the bounces in a second (endpoint map lock, rank
-  // 16, plus per-endpoint locks). The children lock is fully released
-  // between phases because the map lock ranks BELOW it — holding both would
-  // invert the order against spawn_object, which allocates an endpoint id
-  // (map lock) before registering the child (children lock).
+  // rank 18) and delivers the bounces through the kernel's enqueue in a
+  // second (endpoint map lock, rank 16, plus per-endpoint locks). The
+  // children lock is fully released between phases because the map lock
+  // ranks BELOW it — holding both would invert the order against
+  // spawn_object, which allocates an endpoint id (map lock) before
+  // registering the child (children lock).
   void mark_child_dead(std::uint64_t endpoint_value);
-  void deliver_local(Envelope env);
-
-  // Resolves options.socket_dir ("" in parent mode = mkdtemp), setting
-  // `owned` when this runtime must remove the directory on destruction.
-  static std::string ResolveSocketDir(const ProcessOptions& options,
-                                      bool& owned);
 
   const ProcessOptions options_;
-  bool owns_socket_dir_ = false;  // declared before socket_dir_: see ctor
-  std::string socket_dir_;        // resolved (possibly mkdtemp-created)
-  std::string child_log_dir_;     // resolved from options/env
+  const bool owns_socket_dir_;
+  std::string child_log_dir_;  // resolved from options/env
 
-  mutable base::SharedMutex map_mutex_{base::lock_rank::kEndpointMap};
-  std::unordered_map<std::uint64_t, EndpointPtr> endpoints_
-      GUARDED_BY(map_mutex_);
-  std::uint64_t next_endpoint_ GUARDED_BY(map_mutex_) = 1;
-  // Worker mode: ids for endpoints beyond the first (parent-assigned) one
-  // live in a namespace no parent allocation can collide with.
-  std::uint64_t next_local_endpoint_ GUARDED_BY(map_mutex_) = 0;
+  // Worker mode's endpoint count; only next_endpoint_id() touches it, with
+  // the kernel's map_mutex_ held.
+  std::uint64_t next_local_endpoint_ = 0;
 
   mutable base::Mutex children_mutex_{base::lock_rank::kProcChildren};
   std::unordered_map<std::uint64_t, Child> children_
@@ -217,14 +162,6 @@ class ProcessRuntime final : public Runtime, public ProcessControl {
   std::unordered_map<std::string, std::uint64_t> spawn_counts_
       GUARDED_BY(children_mutex_);
 
-  ConnPool pool_;
-
-  mutable base::Mutex rng_mutex_{base::lock_rank::kRng};
-  Rng rng_ GUARDED_BY(rng_mutex_);
-
-  obs::Counter& io_retries_{metrics_.counter("rt.eintr_retries")};
-  obs::Counter& accept_retries_{metrics_.counter("rt.proc.accept_retries")};
-  obs::Counter& reader_slots_{metrics_.counter("rt.proc.reader_slots")};
   // Per-child process metrics (the rt.proc.* plane the CI lane asserts on):
   // live worker processes right now, spawns total, respawns of a label seen
   // before (reactivation landing on this parent again), zombies reaped, and
@@ -236,13 +173,8 @@ class ProcessRuntime final : public Runtime, public ProcessControl {
   obs::Counter& bounced_unavailable_{
       metrics_.counter("rt.proc.bounced_unavailable")};
 
-  base::Mutex graveyard_mutex_{base::lock_rank::kGraveyard};
-  std::vector<std::thread> graveyard_ GUARDED_BY(graveyard_mutex_);
-
   std::thread reaper_;
   std::atomic<bool> stopping_{false};
-
-  std::chrono::steady_clock::time_point epoch_;
 };
 
 }  // namespace legion::rt

@@ -10,7 +10,8 @@
 //                      claims quantify.
 //   * EpollRuntime   — real loopback sockets; one epoll reactor and a fixed
 //                      worker pool run every endpoint's mailbox (M:N).
-//   * ProcessRuntime — one OS process per object over Unix-domain sockets.
+//   * ProcessRuntime — one OS process per object over Unix-domain sockets,
+//                      on the same reactor kernel.
 //
 // Blocking semantics: wait() keeps servicing the waiting endpoint's incoming
 // messages (the paper allows methods to be "accepted in any order"), which
@@ -37,9 +38,10 @@
 namespace legion::rt {
 
 // Handler invoked for each envelope delivered to an endpoint. Runs on the
-// endpoint's service context (sim: the pumping stack; epoll: a pool worker;
-// process: the endpoint's service thread). Never invoked concurrently for
-// the same endpoint, but may be invoked re-entrantly beneath a wait().
+// endpoint's service context (sim: the pumping stack; epoll and process: a
+// pool worker, or the owner's thread inside wait() for a driver endpoint).
+// Never invoked concurrently for the same endpoint, but may be invoked
+// re-entrantly beneath a wait().
 using MessageHandler = std::function<void(Envelope&&)>;
 
 enum class ExecutionMode : std::uint8_t {

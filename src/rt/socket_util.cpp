@@ -105,34 +105,10 @@ int ConnectAll(int fd, const sockaddr* addr, socklen_t len) {
   return err == 0 ? 0 : -1;
 }
 
-int AcceptConn(int listen_fd) {
-  return ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
-}
-
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return false;
   return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-// A signal landing mid-transfer interrupts the syscall with EINTR; that is
-// a retry, not a failure — treating it as fatal silently drops frames.
-bool ReadAll(int fd, void* data, std::size_t n, obs::Counter& retries) {
-  char* p = static_cast<char*>(data);
-  while (n > 0) {
-    const ssize_t got = ::read(fd, p, n);
-    if (got < 0) {
-      if (errno == EINTR) {
-        retries.inc();
-        continue;
-      }
-      return false;
-    }
-    if (got == 0) return false;  // peer closed mid-frame
-    p += got;
-    n -= static_cast<std::size_t>(got);
-  }
-  return true;
 }
 
 // Gathered write of the whole frame in one syscall on the fast path,

@@ -1,10 +1,8 @@
-// Socket helpers shared by the socket-backed runtimes.
-//
-// EpollRuntime (reactor) and ProcessRuntime (one child process per object,
-// Unix-domain sockets) create listeners, dial peers, and move whole frames;
-// centralizing the syscall loops keeps the EINTR/EAGAIN/partial-transfer
-// handling — and the listener socket options (SO_REUSEADDR, configurable
-// backlog, close-on-exec) — identical in both.
+// Socket helpers for the reactor kernel's two listener kinds (loopback TCP
+// for EpollRuntime, Unix-domain for ProcessRuntime) and for ConnPool's
+// dialers and frame writes: the EINTR/EAGAIN/partial-transfer handling and
+// the listener socket options (SO_REUSEADDR, configurable backlog,
+// close-on-exec) live here once.
 //
 // Every socket created here is close-on-exec. ProcessRuntime fork/execs a
 // worker per object; without CLOEXEC the child would inherit the parent's
@@ -15,7 +13,6 @@
 #include <sys/socket.h>
 #include <sys/uio.h>
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -55,16 +52,8 @@ struct ListenerSocket {
 // failing. Returns 0, or -1 with errno set to the connect error.
 [[nodiscard]] int ConnectAll(int fd, const sockaddr* addr, socklen_t len);
 
-// accept(2) with close-on-exec set atomically (accept4). Returns the
-// accepted fd or -1 with errno preserved.
-[[nodiscard]] int AcceptConn(int listen_fd);
-
 // Sets O_NONBLOCK; returns false (errno preserved) on failure.
 bool SetNonBlocking(int fd);
-
-// Reads exactly `n` bytes, retrying EINTR (counted in `retries`). False on
-// EOF or error. For blocking sockets only.
-bool ReadAll(int fd, void* data, std::size_t n, obs::Counter& retries);
 
 // Writes the whole iovec with gathered sendmsg(MSG_NOSIGNAL), advancing on
 // partial writes, retrying EINTR (counted), and parking in poll(POLLOUT) on

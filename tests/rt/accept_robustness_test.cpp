@@ -8,10 +8,13 @@
 //      the SYN queue regardless of configuration;
 //   3. listeners never set SO_REUSEADDR, so a restarted endpoint could not
 //      rebind a port still draining TIME_WAIT;
-//   4. conn_fds/readers slots were never compacted, so connection churn on a
-//      long-lived endpoint grew both vectors without bound.
-// Bugs 1-3 run on EpollRuntime's reactor listeners; bug 4 on ProcessRuntime,
-// the one runtime with an acceptor thread and per-connection reader slots.
+//   4. per-connection server state was never reclaimed, so connection churn
+//      on a long-lived endpoint grew it without bound;
+//   5. closing an endpoint must close the streams accepted on its listener,
+//      not just the listener, or a peer's pooled socket keeps writing
+//      frames nobody reads instead of learning the binding is stale.
+// Bugs 1-3 run on EpollRuntime's loopback listeners; 4 and 5 on
+// ProcessRuntime's per-endpoint Unix-domain listeners (the same reactor).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -21,8 +24,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -51,6 +57,12 @@ int ConnectLoopback(std::uint16_t port, bool nonblocking) {
     return -1;
   }
   return fd;
+}
+
+std::size_t OpenFds() {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                    std::filesystem::directory_iterator{}));
 }
 
 class AcceptRobustnessTest : public ::testing::Test {
@@ -203,11 +215,11 @@ TEST_F(AcceptRobustnessTest, ReuseAddrAllowsImmediateRebindThroughTimeWait) {
   if (second.fd >= 0) ::close(second.fd);
 }
 
-// Bug 4: every reconnect used to append a fresh conn_fds/readers slot; a
-// long-lived endpoint whose peers churn (here: an aggressive idle reaper
-// closing the pool side after every post) accumulated dead slots without
-// bound. Slots must be reclaimed and reused.
-TEST_F(AcceptRobustnessTest, ReaderSlotsAreReusedUnderConnectionChurn) {
+// Bug 4: a long-lived endpoint whose peers churn (here: an aggressive idle
+// reaper closing the pool side after every post) must not keep anything per
+// connection it has seen. Each stream the peer closed is closed here too, so
+// the process's descriptor count comes back to its steady state.
+TEST_F(AcceptRobustnessTest, ConnectionChurnLeavesNoDescriptorsBehind) {
   ProcessOptions options;
   // Reap after every post.
   options.tcp.idle_reap = std::chrono::microseconds(1);
@@ -217,23 +229,73 @@ TEST_F(AcceptRobustnessTest, ReaderSlotsAreReusedUnderConnectionChurn) {
                                              ExecutionMode::kServiced);
   const EndpointId src =
       rt.create_endpoint(h1_, "src", nullptr, ExecutionMode::kDriver);
+  auto await_received = [&](std::uint64_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (rt.endpoint_stats(sink).received < n &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(rt.endpoint_stats(sink).received, n);
+  };
+
+  // Steady state: one pooled client socket and the stream accepted for it.
+  ASSERT_TRUE(
+      rt.post(Envelope{src, sink, DeliveryKind::kData, Buffer{}}).ok());
+  await_received(1);
+  const std::size_t steady = OpenFds();
 
   constexpr std::uint64_t kRounds = 20;
   for (std::uint64_t i = 0; i < kRounds; ++i) {
     ASSERT_TRUE(
         rt.post(Envelope{src, sink, DeliveryKind::kData, Buffer{}}).ok());
-    // Let the reaped connection's reader notice EOF and vacate its slot
-    // before the next dial arrives.
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+  await_received(kRounds + 1);
 
   // Each round redialed (the pool reaped the idle socket every time)...
   EXPECT_GE(rt.metrics().counter("rt.proc.pool.dials").value(), kRounds);
-  // ...yet the server side cycled through a handful of reader slots, not
-  // one per connection. (The bound is loose only for scheduling jitter —
-  // the broken behavior is exactly kRounds slots.)
-  EXPECT_LE(rt.metrics().counter("rt.proc.reader_slots").value(), kRounds / 2);
-  EXPECT_GE(rt.metrics().counter("rt.proc.reader_slots").value(), 1u);
+  // ...and the reactor closed each reaped connection's stream on its EOF.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (OpenFds() != steady && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(OpenFds(), steady);
+}
+
+// Bug 5: a worker process's pooled socket to a parent endpoint must fail on
+// its next write once the parent closes that endpoint, redial into the
+// unlinked socket path and report kStaleBinding; a fresh dial must too.
+TEST_F(AcceptRobustnessTest, ClosedUdsEndpointIsStaleOnPooledAndFreshDials) {
+  ProcessRuntime parent;
+  MakeTopology(parent);
+  std::atomic<int> hits{0};
+  const EndpointId sink = parent.create_endpoint(
+      h2_, "sink", [&](Envelope&&) { ++hits; }, ExecutionMode::kServiced);
+
+  ProcessOptions options;
+  options.socket_dir = parent.socket_dir();
+  options.worker_endpoint_id = 1000;
+  ProcessRuntime worker(options);
+  const HostId host = worker.topology().add_host("worker", {});
+  const EndpointId src =
+      worker.create_endpoint(host, "src", nullptr, ExecutionMode::kDriver);
+  ASSERT_TRUE(
+      worker.post(Envelope{src, sink, DeliveryKind::kData, Buffer{}}).ok());
+  ASSERT_TRUE(worker.wait(src, [&] { return hits.load() == 1; }, 5'000'000));
+
+  parent.close_endpoint(sink);
+  // The pooled socket: the write fails, the one reconnect meets ENOENT.
+  EXPECT_EQ(
+      worker.post(Envelope{src, sink, DeliveryKind::kData, Buffer{}}).code(),
+      StatusCode::kStaleBinding);
+  EXPECT_EQ(worker.metrics().counter("rt.proc.pool.reconnects").value(), 1u);
+  // Nothing is pooled any more: a fresh dial meets ENOENT too.
+  EXPECT_EQ(
+      worker.post(Envelope{src, sink, DeliveryKind::kData, Buffer{}}).code(),
+      StatusCode::kStaleBinding);
+  EXPECT_EQ(hits.load(), 1);
 }
 
 }  // namespace

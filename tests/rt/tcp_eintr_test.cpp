@@ -6,8 +6,9 @@
 // SA_RESTART, so blocking syscalls genuinely return EINTR) while large
 // payloads — big enough to fill the socket buffer and block the writer —
 // stream between endpoints. Every transfer must complete intact. Typed over
-// both socket runtimes: EpollRuntime's reactor reads loopback TCP without
-// blocking, ProcessRuntime's reader threads block on Unix-domain sockets.
+// both socket runtimes: the reactor reads loopback TCP (EpollRuntime) and
+// Unix-domain streams (ProcessRuntime) without blocking, while the pool's
+// writers block on full socket buffers.
 #include <gtest/gtest.h>
 
 #include <sys/time.h>
